@@ -15,6 +15,15 @@
 //! FNV-1a-64 fingerprint of the destination row, which the service layer
 //! carries into completions and the wire protocol folds into the session
 //! checksum — making a pinned replay checksum value-verifying end to end.
+//!
+//! Fingerprints are cached beside each materialized row and set when the
+//! row is written, so reading one never re-hashes. Only operations that
+//! create new contents pay a full-row hash: `RowFill`, `Not`, and MAJ
+//! (once for all three rows of the group). Inits and CODIC-det/clone-zero
+//! take the compile-time [`ZERO_FP`]/[`ONES_FP`], a `RowCopy` inherits its
+//! source's cached fingerprint, and a dropped row reads [`ZERO_FP`] again
+//! — all O(1) in hashing. The cache is per plane: nothing is shared
+//! between sessions.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -37,22 +46,49 @@ static ZERO_ROW: RowWords = [0; WORDS_PER_ROW];
 /// algorithm (and constants) the wire protocol's session checksum uses,
 /// so a row fingerprint folds naturally into the replay checksum.
 #[must_use]
-pub fn row_fingerprint(words: &RowWords) -> u64 {
+pub const fn row_fingerprint(words: &RowWords) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in words {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
+    let mut w = 0;
+    while w < WORDS_PER_ROW {
+        let bytes = words[w].to_le_bytes();
+        let mut b = 0;
+        while b < bytes.len() {
+            hash ^= bytes[b] as u64;
             hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            b += 1;
         }
+        w += 1;
     }
     hash
+}
+
+/// The fingerprint of an all-zeros row (every unmaterialized row).
+pub const ZERO_FP: u64 = row_fingerprint(&[0; WORDS_PER_ROW]);
+
+/// The fingerprint of an all-ones row.
+pub const ONES_FP: u64 = row_fingerprint(&[u64::MAX; WORDS_PER_ROW]);
+
+/// One materialized row and the fingerprint of its current contents.
+#[derive(Debug, Clone)]
+struct StoredRow {
+    words: Box<RowWords>,
+    fingerprint: u64,
+}
+
+impl StoredRow {
+    /// Hashes the current contents into the cached fingerprint.
+    fn rehash(&mut self) -> u64 {
+        self.fingerprint = row_fingerprint(&self.words);
+        self.fingerprint
+    }
 }
 
 /// Lazily materialized row contents for one device's compute region.
 #[derive(Debug, Clone, Default)]
 pub struct DataPlane {
     region: Range<u64>,
-    rows: HashMap<u64, Box<RowWords>>,
+    rows: HashMap<u64, StoredRow>,
+    rows_hashed: u64,
 }
 
 impl DataPlane {
@@ -63,6 +99,7 @@ impl DataPlane {
         DataPlane {
             region,
             rows: HashMap::new(),
+            rows_hashed: 0,
         }
     }
 
@@ -78,6 +115,14 @@ impl DataPlane {
         self.rows.len()
     }
 
+    /// Full-row fingerprints computed so far — one per content-creating
+    /// operation (`RowFill`, `Not`, MAJ). Host-side bookkeeping only; it
+    /// never feeds device timing.
+    #[must_use]
+    pub fn rows_hashed(&self) -> u64 {
+        self.rows_hashed
+    }
+
     fn key(addr: u64) -> u64 {
         addr - addr % DramGeometry::ROW_BYTES
     }
@@ -88,23 +133,97 @@ impl DataPlane {
     pub fn row(&self, addr: u64) -> &RowWords {
         self.rows
             .get(&Self::key(addr))
-            .map_or(&ZERO_ROW, |row| row.as_ref())
+            .map_or(&ZERO_ROW, |row| row.words.as_ref())
     }
 
-    /// The FNV-1a-64 fingerprint of the row containing `addr`.
+    /// The FNV-1a-64 fingerprint of the row containing `addr`, read from
+    /// the cache.
     #[must_use]
     pub fn fingerprint(&self, addr: u64) -> u64 {
-        row_fingerprint(self.row(addr))
-    }
-
-    fn row_mut(&mut self, addr: u64) -> &mut RowWords {
         self.rows
-            .entry(Self::key(addr))
-            .or_insert_with(|| Box::new(ZERO_ROW))
+            .get(&Self::key(addr))
+            .map_or(ZERO_FP, |row| row.fingerprint)
     }
 
-    fn fill(&mut self, addr: u64, word: u64) {
-        self.row_mut(addr).fill(word);
+    /// The stored row keyed `key`, materialized as zeros on first use.
+    fn stored_mut(&mut self, key: u64) -> &mut StoredRow {
+        self.rows.entry(key).or_insert_with(|| StoredRow {
+            words: Box::new(ZERO_ROW),
+            fingerprint: ZERO_FP,
+        })
+    }
+
+    /// Fills the row containing `addr` with all-ones or all-zeros, whose
+    /// fingerprints are constants.
+    fn fill_uniform(&mut self, addr: u64, ones: bool) -> u64 {
+        let (word, fingerprint) = if ones {
+            (u64::MAX, ONES_FP)
+        } else {
+            (0, ZERO_FP)
+        };
+        let row = self.stored_mut(Self::key(addr));
+        row.words.fill(word);
+        row.fingerprint = fingerprint;
+        fingerprint
+    }
+
+    /// Writes `f` of each word of the row containing `src_addr` (zeros
+    /// when unmaterialized) into the row containing `dst_addr`, in place
+    /// and without a row-sized temporary, and returns the destination.
+    /// Source and destination may be the same row. The destination's
+    /// cached fingerprint is left for the caller to set.
+    fn map_row(&mut self, src_addr: u64, dst_addr: u64, f: impl Fn(u64) -> u64) -> &mut StoredRow {
+        let (src, dst) = (Self::key(src_addr), Self::key(dst_addr));
+        if src == dst {
+            let row = self.stored_mut(dst);
+            row.words.iter_mut().for_each(|w| *w = f(*w));
+            return row;
+        }
+        if !self.rows.contains_key(&src) {
+            let row = self.stored_mut(dst);
+            row.words.fill(f(0));
+            return row;
+        }
+        self.stored_mut(dst);
+        let [Some(s), Some(d)] = self.rows.get_disjoint_mut([&src, &dst]) else {
+            unreachable!("both rows are materialized and distinct")
+        };
+        for (d, s) in d.words.iter_mut().zip(s.words.iter()) {
+            *d = f(*s);
+        }
+        d
+    }
+
+    /// Triple-row activation on the group at `row_addr`: the group
+    /// charge-shares to the bitwise majority, and the restore writes
+    /// that majority back into all three rows, which share one hash.
+    fn majority(&mut self, row_addr: u64) -> u64 {
+        let base = Self::key(row_addr);
+        let keys = [
+            base,
+            base + DramGeometry::ROW_BYTES,
+            base + 2 * DramGeometry::ROW_BYTES,
+        ];
+        for key in keys {
+            self.stored_mut(key);
+        }
+        let [Some(a), Some(b), Some(c)] = self.rows.get_disjoint_mut(keys.each_ref()) else {
+            unreachable!("the three group rows are materialized and distinct")
+        };
+        for ((a, b), c) in a
+            .words
+            .iter_mut()
+            .zip(b.words.iter_mut())
+            .zip(c.words.iter_mut())
+        {
+            let maj = (*a & *b) | (*a & *c) | (*b & *c);
+            (*a, *b, *c) = (maj, maj, maj);
+        }
+        self.rows_hashed += 1;
+        let fingerprint = a.rehash();
+        b.fingerprint = fingerprint;
+        c.fingerprint = fingerprint;
+        fingerprint
     }
 
     /// Applies the architectural data effect of `op` and returns the
@@ -119,54 +238,43 @@ impl DataPlane {
     /// the plane does not track.
     pub fn apply(&mut self, op: CodicOp) -> u64 {
         match op {
-            CodicOp::RowInit { row_addr, ones } => {
-                self.fill(row_addr, if ones { u64::MAX } else { 0 });
+            CodicOp::RowInit { row_addr, ones } => self.fill_uniform(row_addr, ones),
+            CodicOp::RowFill { row_addr, pattern } => {
+                self.rows_hashed += 1;
+                let row = self.stored_mut(Self::key(row_addr));
+                row.words.fill(pattern);
+                row.rehash()
             }
-            CodicOp::RowFill { row_addr, pattern } => self.fill(row_addr, pattern),
             CodicOp::RowCopy { src_addr, dst_addr } => {
-                let src = *self.row(src_addr);
-                *self.row_mut(dst_addr) = src;
+                let fingerprint = self.fingerprint(src_addr);
+                self.map_row(src_addr, dst_addr, |w| w).fingerprint = fingerprint;
+                fingerprint
             }
             CodicOp::Not { src_addr, dst_addr } => {
-                let src = *self.row(src_addr);
-                let dst = self.row_mut(dst_addr);
-                for (d, s) in dst.iter_mut().zip(src.iter()) {
-                    *d = !s;
-                }
+                self.rows_hashed += 1;
+                self.map_row(src_addr, dst_addr, |w| !w).rehash()
             }
-            CodicOp::MajAnd { row_addr } | CodicOp::MajOr { row_addr } => {
-                // Triple-row activation: the group charge-shares to the
-                // bitwise majority, and the restore writes that majority
-                // back into all three rows.
-                let row = DramGeometry::ROW_BYTES;
-                let a = *self.row(row_addr);
-                let b = *self.row(row_addr + row);
-                let c = *self.row(row_addr + 2 * row);
-                let mut maj = ZERO_ROW;
-                for i in 0..WORDS_PER_ROW {
-                    maj[i] = (a[i] & b[i]) | (a[i] & c[i]) | (b[i] & c[i]);
-                }
-                *self.row_mut(row_addr) = maj;
-                *self.row_mut(row_addr + row) = maj;
-                *self.row_mut(row_addr + 2 * row) = maj;
-            }
+            CodicOp::MajAnd { row_addr } | CodicOp::MajOr { row_addr } => self.majority(row_addr),
             _ => {
                 // Non-compute operations only matter when they land on a
                 // tracked row.
                 if op.written_rows().rows > 0 && self.region.contains(&op.row_addr()) {
                     match op.class().data_effect() {
-                        DataEffect::Zeros => self.fill(op.row_addr(), 0),
-                        DataEffect::Ones => self.fill(op.row_addr(), u64::MAX),
+                        DataEffect::Zeros => {
+                            self.fill_uniform(op.row_addr(), false);
+                        }
+                        DataEffect::Ones => {
+                            self.fill_uniform(op.row_addr(), true);
+                        }
                         DataEffect::Signature | DataEffect::Scramble => {
                             self.rows.remove(&Self::key(op.row_addr()));
                         }
                         DataEffect::Preserve | DataEffect::Computed => {}
                     }
                 }
-                return 0;
+                0
             }
         }
-        self.fingerprint(op.row_addr())
     }
 }
 

@@ -55,7 +55,9 @@
 //! `--generate-bitwise` writes the deterministic bulk-bitwise compute
 //! workload (planned vector AND/OR/XOR/ADD inside the compute region at
 //! the top of the module — replay it with the same `--compute-rows`).
-//! `--compute-rows C` asks the session for a C-row compute region.
+//! `--compute-rows C` asks the session for a C-row compute region; with
+//! `--self-serve` it also configures the in-process server, so a shared
+//! fleet (whose substrate is fixed at bind) serves the region too.
 //! `--proto-v2` pins the session to protocol v2 (one frame per
 //! completion) instead of the default v3 batched `Events` transport —
 //! the session checksum is identical either way.
@@ -208,6 +210,7 @@ fn main() -> ExitCode {
             retry: retry_args(defaults.retry),
             workers: has_flag("--workers"),
             fleet_slots: arg_u64("--fleet-slots").unwrap_or(0) as usize,
+            compute_rows: arg_u64("--compute-rows").unwrap_or(0),
             ..defaults
         };
         deadline_args(&mut config);

@@ -177,6 +177,47 @@ fn fleet_tcp_session_lands_the_repo_pinned_checksum() {
 }
 
 #[test]
+fn fleet_compute_sessions_land_the_private_pool_fingerprints() {
+    // The bundled bulk-bitwise trace on a fleet whose substrate carries
+    // the 64-row compute region: a Unix tenant and a TCP tenant, in
+    // flight at once, must each land the stream (row fingerprints
+    // included) and the pinned checksum a private pool serves.
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/traces/sample_bitwise.trace"
+    ))
+    .expect("bundled trace");
+    let ops = parse_trace(&text).expect("parse bundled trace");
+    let config = ServerConfig {
+        compute_rows: 64,
+        ..ServerConfig::default()
+    };
+    let solo = solo_reports("bitwise", config.clone(), std::slice::from_ref(&ops));
+    let fleet = with_fleet_server(
+        "bitwise",
+        ServerConfig {
+            fleet_slots: 2,
+            ..config
+        },
+        |socket, addr, _| {
+            std::thread::scope(|scope| {
+                let unix = scope.spawn(|| replay(socket, &SessionParams::defaults(), &ops, 512));
+                let tcp = scope.spawn(|| replay_tcp(addr, &SessionParams::defaults(), &ops, 512));
+                [unix, tcp].map(|h| h.join().expect("tenant thread").expect("fleet compute run"))
+            })
+        },
+    );
+    assert_eq!(solo[0].checksum, 0xe94e_5d20_4a96_20d1);
+    for (tenant, ours) in fleet.iter().enumerate() {
+        assert_eq!(ours.params.compute_rows, 64, "tenant {tenant}");
+        assert_eq!(ours.summary.row_ops, 1138, "tenant {tenant}");
+        assert_eq!(ours.completions, solo[0].completions, "tenant {tenant}");
+        assert_eq!(ours.checksum, solo[0].checksum, "tenant {tenant}");
+        verify_against_reference(ours, &ops, 512).expect("fleet compute stream verifies");
+    }
+}
+
+#[test]
 fn a_cut_tenant_resumes_without_perturbing_its_neighbors() {
     // Tenant 0's TCP wire dies repeatedly; tenants 1 (Unix) and 2 (TCP)
     // run clean sessions at the same time on the same fleet. The victim

@@ -229,6 +229,41 @@ fn bulk_bitwise_compute_replays_value_verified_over_the_socket() {
 }
 
 #[test]
+fn bundled_bitwise_trace_hashes_only_content_changing_ops() {
+    use codic_core::device::CodicDevice;
+
+    // The CI-pinned compute trace on the substrate a session asking for
+    // a 64-row compute region negotiates.
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/traces/sample_bitwise.trace"
+    ))
+    .expect("bundled trace");
+    let ops = parse_trace(&text).expect("parse bundled trace");
+    assert_eq!(ops.len(), 1138);
+    let params = ServerConfig::default().negotiate(&SessionParams {
+        compute_rows: 64,
+        ..SessionParams::defaults()
+    });
+    let mut device = CodicDevice::new(ServerConfig::device_config(&params));
+    device.execute_all(&ops).expect("bitwise trace runs");
+
+    // Only fills, MAJ and NOT create new contents; inits take constant
+    // fingerprints and copies inherit their source's.
+    let count = |pred: fn(&CodicOp) -> bool| ops.iter().filter(|op| pred(op)).count();
+    let fills = count(|op| matches!(op, CodicOp::RowFill { .. }));
+    let majs = count(|op| matches!(op, CodicOp::MajAnd { .. } | CodicOp::MajOr { .. }));
+    let nots = count(|op| matches!(op, CodicOp::Not { .. }));
+    assert_eq!((fills, majs, nots), (128, 192, 48));
+    let plane = device.data_plane().expect("compute region configured");
+    assert_eq!(
+        plane.rows_hashed(),
+        368,
+        "one full-row hash per fill, MAJ and NOT"
+    );
+}
+
+#[test]
 fn concurrent_sessions_are_independent_and_both_verify() {
     let ops_a = generate_mixed(6_000, 8192, 11);
     let ops_b = generate_mixed(6_000, 8192, 22);
