@@ -1,4 +1,4 @@
-//! Chaos-transport end to end: protocol v4's resume machinery exercised
+//! Chaos-transport end to end: the protocol's resume machinery exercised
 //! over real sockets while the seeded chaos shim actively cuts,
 //! corrupts, shortens, and stalls the wire.
 //!

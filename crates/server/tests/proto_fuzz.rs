@@ -2,28 +2,35 @@
 //! arbitrary corruption with a typed [`ProtoError`], never a panic and
 //! never an attacker-sized allocation.
 //!
-//! Three deterministic campaigns over a corpus holding every frame
-//! variant:
+//! Two families of deterministic campaigns over a corpus holding every
+//! frame variant.
 //!
-//! 1. **Exhaustive single-bit flips** — every bit of every encoded
-//!    frame (length prefix included) is flipped once.
+//! The **decoder** campaigns corrupt the frame *body* and re-frame it
+//! with a freshly computed CRC32C, so every mutant passes the trailer
+//! check and reaches `decode_body`:
+//!
+//! 1. **Exhaustive single-bit flips** — every bit of every body is
+//!    flipped once.
 //! 2. **Seeded multi-byte corruption** — a splitmix64-driven storm
 //!    overwrites 1–8 bytes per trial at seeded positions.
-//! 3. **Exhaustive truncation** — every proper prefix of every frame.
+//! 3. **Exhaustive truncation** — every proper prefix of every body.
 //!
-//! Every corrupted buffer is decoded two ways — the blocking
-//! [`read_frame`] and the incremental [`FrameReader`] fed one byte at a
-//! time — and both must agree: `Ok` or a typed error. Oversized length
-//! prefixes must be rejected *before* any body allocation.
+//! The **trailer** campaigns corrupt the framed bytes as they travel
+//! and require the CRC32C to catch every damaged frame.
+//!
+//! Every buffer is decoded two ways — the blocking [`read_frame_crc`]
+//! and the incremental [`FrameReader`] fed one byte at a time — and both
+//! must agree: `Ok` or a typed error. Oversized length prefixes must be
+//! rejected *before* any body allocation.
 
 use std::io::Read;
 
 use codic_core::fault::FaultCause;
 use codic_core::ops::{CodicOp, VariantId};
 use codic_server::proto::{
-    crc32c, encode_body, read_frame, read_frame_crc, write_frame_crc, BatchAck, ErrorCode,
-    FlushAck, Frame, FrameReader, ProtoError, ResumeAck, ResumeRequest, SessionEvent,
-    SessionParams, Summary, WireCompletion, WireFailure, MAX_FRAME_LEN,
+    crc32c, encode_body, read_frame_crc, write_frame_crc, BatchAck, ErrorCode, FlushAck, Frame,
+    FrameReader, ProtoError, ResumeAck, ResumeRequest, SessionEvent, SessionParams, Summary,
+    WireCompletion, WireFailure, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 /// splitmix64: the same deterministic generator the fault layer uses.
@@ -81,8 +88,7 @@ fn corpus() -> Vec<Frame> {
         cause: FaultCause::Misfire,
         attempts: 1,
     };
-    // The batched v3 transport: a mixed run stressing every unit
-    // layout (kind byte + 40/48/56-byte completions, 29/37-byte
+    // A mixed run stressing every unit layout (kind byte + 40/48/56-byte completions, 29/37-byte
     // failures), plus the legal empty frame. The corruption campaigns
     // strike the count word and the kind bytes mid-walk.
     let events = Frame::Events(vec![
@@ -91,9 +97,8 @@ fn corpus() -> Vec<Frame> {
         SessionEvent::Completion(compute_completion),
         SessionEvent::Failure(compute_failure),
     ]);
-    // A v5 params block with its whole QoS/tenancy tail lit up, so the
-    // corruption campaigns strike meaningful bytes in the widened
-    // layout, and a v4 block for the legacy 25-byte layout.
+    // A params block with its whole QoS/tenancy tail lit up, so the
+    // corruption campaigns strike meaningful bytes in every field.
     let qos_params = SessionParams {
         qos_weight: 7,
         tenants: 2048,
@@ -101,27 +106,15 @@ fn corpus() -> Vec<Frame> {
         target_rows_per_s: 1_000_000,
         ..SessionParams::defaults()
     };
-    let v4_params = SessionParams {
-        version: 4,
-        ..SessionParams::defaults()
-    };
     vec![
         Frame::Hello(SessionParams::defaults()),
         Frame::Hello(qos_params),
-        Frame::Hello(v4_params),
-        Frame::HelloAck {
-            params: SessionParams {
-                version: 3,
-                ..SessionParams::defaults()
-            },
-            token: 0,
-        },
-        // The v4 ack carries the server-minted resume token.
+        // The ack carries the server-minted resume token.
         Frame::HelloAck {
             params: SessionParams::defaults(),
             token: 0x1122_3344_5566_7788,
         },
-        // The v5 ack reports the fleet's honest QoS/tenancy grant.
+        // A fleet ack reports the honest QoS/tenancy grant.
         Frame::HelloAck {
             params: qos_params,
             token: 0x0be1_1e5e_d0c5_0b5e,
@@ -133,15 +126,8 @@ fn corpus() -> Vec<Frame> {
             replay_events: 11,
             finished: 0,
         }),
-        Frame::ResumeAck(ResumeAck {
-            params: v4_params,
-            token: 0x0452,
-            next_seq: 1,
-            replay_events: 0,
-            finished: 1,
-        }),
         Frame::Resume(ResumeRequest {
-            version: 4,
+            version: PROTOCOL_VERSION,
             token: 0xfeed_beef_0451_0b5e,
             events_received: 123_456,
         }),
@@ -190,10 +176,6 @@ fn corpus() -> Vec<Frame> {
         ]),
         Frame::Flush,
         Frame::Bye,
-        Frame::Completion(completion),
-        Frame::Completion(compute_completion),
-        Frame::Failed(failure),
-        Frame::Failed(compute_failure),
         events,
         Frame::Events(Vec::new()),
         Frame::Batched(BatchAck {
@@ -221,19 +203,33 @@ fn corpus() -> Vec<Frame> {
     ]
 }
 
-/// Encodes `frame` as it travels: length prefix + type byte + payload.
+/// Encodes `frame` as it travels: length prefix, body (type byte +
+/// payload), CRC32C trailer.
 fn encode_wire(frame: &Frame) -> Vec<u8> {
+    let mut wire = Vec::new();
+    write_frame_crc(&mut wire, frame).expect("encode to Vec");
+    wire
+}
+
+/// The body of `frame`: type byte + payload.
+fn encode(frame: &Frame) -> Vec<u8> {
     let mut body = Vec::new();
     encode_body(frame, &mut body);
-    let mut wire = Vec::with_capacity(4 + body.len());
-    wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    wire.extend_from_slice(&body);
+    body
+}
+
+/// Frames an arbitrary (possibly corrupt) body with a length prefix
+/// and a freshly computed CRC32C trailer, so it reaches the decoder.
+fn reframe(body: &[u8]) -> Vec<u8> {
+    let mut wire = ((body.len() + 4) as u32).to_le_bytes().to_vec();
+    wire.extend_from_slice(body);
+    wire.extend_from_slice(&crc32c(body).to_le_bytes());
     wire
 }
 
 /// Decodes `bytes` with the blocking reader; a panic fails the test.
 fn decode_blocking(bytes: &[u8]) -> Result<Frame, ProtoError> {
-    read_frame(&mut &bytes[..])
+    read_frame_crc(&mut &bytes[..])
 }
 
 /// Decodes `bytes` with the incremental reader, one byte per poll.
@@ -261,16 +257,22 @@ fn decode_trickled(bytes: &[u8]) -> Result<Option<Frame>, ProtoError> {
     }
 }
 
-/// Both decoders on the same bytes; they must agree on accept/reject.
-fn decode_both_ways(bytes: &[u8]) {
-    let blocking = decode_blocking(bytes);
-    let trickled = decode_trickled(bytes);
+/// A corrupt body re-framed with a valid trailer, through both
+/// decoders: they must agree, and a rejection must come from the body
+/// decoder — a typed decode error, never the trailer or the stream.
+fn decode_body_both_ways(body: &[u8]) {
+    let wire = reframe(body);
+    let blocking = decode_blocking(&wire);
+    let trickled = decode_trickled(&wire);
     match (&blocking, &trickled) {
         (Ok(a), Ok(Some(b))) => assert_eq!(a, b, "decoders disagree on an accepted frame"),
-        (Err(_), Err(_)) => {}
-        // EOF at a frame boundary: blocking read_frame reports Io(EOF),
-        // the incremental reader reports "no frame yet".
-        (Err(ProtoError::Io(_)), Ok(None)) => {}
+        (Err(a), Err(b)) => {
+            assert_eq!(a.to_string(), b.to_string(), "decoders disagree");
+            assert!(
+                !matches!(a, ProtoError::Crc { .. } | ProtoError::Io(_)),
+                "a re-framed body failed outside the decoder: {a:?}"
+            );
+        }
         (a, b) => panic!("decoders disagree: blocking {a:?} vs trickled {b:?}"),
     }
 }
@@ -279,6 +281,7 @@ fn decode_both_ways(bytes: &[u8]) {
 fn every_frame_round_trips_both_decoders() {
     for frame in corpus() {
         let wire = encode_wire(&frame);
+        assert_eq!(wire, reframe(&encode(&frame)));
         assert_eq!(decode_blocking(&wire).unwrap(), frame);
         assert_eq!(decode_trickled(&wire).unwrap(), Some(frame));
     }
@@ -287,11 +290,11 @@ fn every_frame_round_trips_both_decoders() {
 #[test]
 fn exhaustive_single_bit_flips_never_panic() {
     for frame in corpus() {
-        let wire = encode_wire(&frame);
-        for bit in 0..wire.len() * 8 {
-            let mut mutant = wire.clone();
+        let body = encode(&frame);
+        for bit in 0..body.len() * 8 {
+            let mut mutant = body.clone();
             mutant[bit / 8] ^= 1 << (bit % 8);
-            decode_both_ways(&mutant);
+            decode_body_both_ways(&mutant);
         }
     }
 }
@@ -300,17 +303,17 @@ fn exhaustive_single_bit_flips_never_panic() {
 fn seeded_byte_storms_never_panic() {
     let mut seed = 0x0f0f_0f0f_1234_5678u64;
     for frame in corpus() {
-        let wire = encode_wire(&frame);
+        let body = encode(&frame);
         for trial in 0..512u64 {
-            let mut mutant = wire.clone();
+            let mut mutant = body.clone();
             seed = mix64(seed ^ trial);
             let strikes = 1 + (seed % 8) as usize;
             for strike in 0..strikes {
                 let roll = mix64(seed ^ strike as u64);
-                let pos = (roll % wire.len() as u64) as usize;
+                let pos = (roll % body.len() as u64) as usize;
                 mutant[pos] = (roll >> 32) as u8;
             }
-            decode_both_ways(&mutant);
+            decode_body_both_ways(&mutant);
         }
     }
 }
@@ -318,19 +321,17 @@ fn seeded_byte_storms_never_panic() {
 #[test]
 fn exhaustive_truncations_never_panic() {
     for frame in corpus() {
-        let wire = encode_wire(&frame);
-        for cut in 0..wire.len() {
-            // A truncated stream must either error (typed) or report
-            // "no frame yet" — never yield a frame, never panic.
-            let prefix = &wire[..cut];
+        let body = encode(&frame);
+        for cut in 0..body.len() {
+            // A truncated body, validly framed, must be a typed decode
+            // error — never a frame, never a panic.
+            let wire = reframe(&body[..cut]);
             assert!(
-                decode_blocking(prefix).is_err(),
-                "a {cut}-byte prefix of a {}-byte frame decoded",
-                wire.len()
+                decode_blocking(&wire).is_err(),
+                "a {cut}-byte prefix of a {}-byte body decoded",
+                body.len()
             );
-            if let Ok(Some(f)) = decode_trickled(prefix) {
-                panic!("truncated stream yielded {f:?}");
-            }
+            decode_body_both_ways(&body[..cut]);
         }
     }
 }
@@ -364,8 +365,7 @@ fn oversized_event_counts_are_rejected_before_allocation() {
         let mut body = vec![EVENTS_TAG];
         body.extend_from_slice(&claimed.to_le_bytes());
         body.extend_from_slice(&[0u8; 16]); // far fewer bytes than one unit per claim
-        let mut wire = (body.len() as u32).to_le_bytes().to_vec();
-        wire.extend_from_slice(&body);
+        let wire = reframe(&body);
         match decode_blocking(&wire) {
             Err(ProtoError::BadLength { tag, .. }) => assert_eq!(tag, EVENTS_TAG),
             other => panic!("expected BadLength, got {other:?}"),
@@ -385,49 +385,9 @@ fn zero_length_frames_are_typed_errors() {
 }
 
 // ---------------------------------------------------------------------
-// Protocol v4: the CRC32C-trailed framing. Same corpus, same decoder
-// pair (blocking `read_frame_crc` and a CRC-armed `FrameReader`), plus
-// the campaigns only a checksummed transport can promise: every
-// single-bit flip is *detected*, not merely survived.
+// The trailer campaigns: corruption of the framed bytes themselves.
+// Every single-bit flip is *detected*, not merely survived.
 // ---------------------------------------------------------------------
-
-/// Encodes `frame` as a v4 session sends it: the length prefix covers
-/// type byte + payload + the 4-byte little-endian CRC32C trailer.
-fn encode_wire_crc(frame: &Frame) -> Vec<u8> {
-    let mut wire = Vec::new();
-    write_frame_crc(&mut wire, frame).expect("encode to Vec");
-    wire
-}
-
-/// Decodes `bytes` with the blocking CRC reader.
-fn decode_blocking_crc(bytes: &[u8]) -> Result<Frame, ProtoError> {
-    read_frame_crc(&mut &bytes[..])
-}
-
-/// Decodes `bytes` with a CRC-armed incremental reader, one byte per
-/// poll.
-fn decode_trickled_crc(bytes: &[u8]) -> Result<Option<Frame>, ProtoError> {
-    struct OneByte<'a>(&'a [u8]);
-    impl Read for OneByte<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            let n = self.0.len().min(buf.len()).min(1);
-            buf[..n].copy_from_slice(&self.0[..n]);
-            self.0 = &self.0[n..];
-            Ok(n)
-        }
-    }
-    let mut reader = OneByte(bytes);
-    let mut frames = FrameReader::new();
-    frames.set_crc(true);
-    loop {
-        match frames.poll(&mut reader) {
-            Ok(Some(frame)) => return Ok(Some(frame)),
-            Ok(None) if !frames.mid_frame() => return Ok(None),
-            Ok(None) => continue,
-            Err(e) => return Err(e),
-        }
-    }
-}
 
 #[test]
 fn crc_wire_has_the_documented_trailer_layout() {
@@ -435,13 +395,11 @@ fn crc_wire_has_the_documented_trailer_layout() {
     // little-endian, and *included* in the length prefix — exactly what
     // docs/PROTOCOL.md promises. Spot-check the whole corpus.
     for frame in corpus() {
-        let bare = encode_wire(&frame);
-        let wire = encode_wire_crc(&frame);
+        let wire = encode_wire(&frame);
         let body_len = u32::from_le_bytes(wire[..4].try_into().unwrap()) as usize;
         assert_eq!(body_len, wire.len() - 4, "length covers body + trailer");
-        assert_eq!(body_len, bare.len(), "CRC framing adds exactly 4 bytes");
         let body = &wire[4..wire.len() - 4];
-        assert_eq!(body, &bare[4..], "body bytes identical to bare framing");
+        assert_eq!(body, encode(&frame), "the body is type byte + payload");
         let trailer = u32::from_le_bytes(wire[wire.len() - 4..].try_into().unwrap());
         assert_eq!(trailer, crc32c(body), "trailer is crc32c(body), LE");
     }
@@ -449,27 +407,59 @@ fn crc_wire_has_the_documented_trailer_layout() {
 
 #[test]
 fn every_frame_round_trips_both_crc_decoders() {
-    for frame in corpus() {
-        let wire = encode_wire_crc(&frame);
-        assert_eq!(decode_blocking_crc(&wire).unwrap(), frame);
-        assert_eq!(decode_trickled_crc(&wire).unwrap(), Some(frame));
+    // The whole corpus back to back on one stream: each decoder must
+    // consume exactly one frame per call and land on every boundary.
+    /// One byte per read, `WouldBlock` in between.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        starved: bool,
     }
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.starved = !self.starved;
+            if self.starved {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = self.bytes.len().min(buf.len()).min(1);
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+    let stream: Vec<u8> = corpus().iter().flat_map(encode_wire).collect();
+    let mut blocking = stream.as_slice();
+    let mut trickle = Trickle {
+        bytes: &stream,
+        starved: false,
+    };
+    let mut frames = FrameReader::new();
+    for frame in corpus() {
+        assert_eq!(read_frame_crc(&mut blocking).unwrap(), frame);
+        let polled = loop {
+            if let Some(f) = frames.poll(&mut trickle).unwrap() {
+                break f;
+            }
+        };
+        assert_eq!(polled, frame);
+        assert!(!frames.mid_frame(), "a frame boundary");
+    }
+    assert!(blocking.is_empty() && trickle.bytes.is_empty());
 }
 
 #[test]
 fn exhaustive_single_bit_flips_are_always_detected_under_crc() {
-    // The stronger v4 promise: a flipped bit never *decodes*. Flips in
+    // A flipped bit never *decodes*. Flips in
     // the body or trailer must surface as the typed Crc error (CRC32C
     // detects every single-bit error by construction); flips in the
     // length prefix may hit any typed error — but no flip, anywhere,
     // may ever yield a frame.
     for frame in corpus() {
-        let wire = encode_wire_crc(&frame);
+        let wire = encode_wire(&frame);
         for bit in 0..wire.len() * 8 {
             let mut mutant = wire.clone();
             mutant[bit / 8] ^= 1 << (bit % 8);
-            let blocking = decode_blocking_crc(&mutant);
-            let trickled = decode_trickled_crc(&mutant);
+            let blocking = decode_blocking(&mutant);
+            let trickled = decode_trickled(&mutant);
             assert!(
                 blocking.is_err(),
                 "bit {bit} flip decoded to {blocking:?} under CRC framing"
@@ -496,7 +486,7 @@ fn seeded_byte_storms_never_decode_under_crc() {
     // frame and never panics.
     let mut seed = 0x5eed_c4c4_9876_4321u64;
     for frame in corpus() {
-        let wire = encode_wire_crc(&frame);
+        let wire = encode_wire(&frame);
         for trial in 0..512u64 {
             let mut mutant = wire.clone();
             seed = mix64(seed ^ trial);
@@ -512,8 +502,8 @@ fn seeded_byte_storms_never_decode_under_crc() {
             if !touched {
                 continue; // the storm happened to rewrite identical bytes
             }
-            assert!(decode_blocking_crc(&mutant).is_err());
-            if let Ok(Some(f)) = decode_trickled_crc(&mutant) {
+            assert!(decode_blocking(&mutant).is_err());
+            if let Ok(Some(f)) = decode_trickled(&mutant) {
                 panic!("storm trial {trial} trickle-decoded to {f:?}");
             }
         }
@@ -527,15 +517,15 @@ fn exhaustive_crc_truncations_never_yield_a_frame() {
     // blocking reader must error; the incremental reader must error or
     // keep waiting; neither may produce a frame.
     for frame in corpus() {
-        let wire = encode_wire_crc(&frame);
+        let wire = encode_wire(&frame);
         for cut in 0..wire.len() {
             let prefix = &wire[..cut];
             assert!(
-                decode_blocking_crc(prefix).is_err(),
+                decode_blocking(prefix).is_err(),
                 "a {cut}-byte prefix of a {}-byte CRC frame decoded",
                 wire.len()
             );
-            if let Ok(Some(f)) = decode_trickled_crc(prefix) {
+            if let Ok(Some(f)) = decode_trickled(prefix) {
                 panic!("truncated CRC stream yielded {f:?}");
             }
         }
@@ -546,10 +536,11 @@ fn exhaustive_crc_truncations_never_yield_a_frame() {
 fn resume_frames_survive_focused_truncation_and_storm_corpora() {
     // The resume handshake is what a recovering client leans on, so it
     // gets its own dense pass on top of the full-corpus campaigns:
-    // every truncation and a 4096-trial storm per frame, both framings.
+    // every truncation, framed and re-framed, and a 4096-trial storm
+    // per frame.
     let frames = [
         Frame::Resume(ResumeRequest {
-            version: 4,
+            version: PROTOCOL_VERSION,
             token: u64::MAX,
             events_received: u64::MAX,
         }),
@@ -568,13 +559,13 @@ fn resume_frames_survive_focused_truncation_and_storm_corpora() {
     ];
     let mut seed = 0x4e5c_0de5_0da2_71ffu64;
     for frame in &frames {
-        let bare = encode_wire(frame);
-        let wire = encode_wire_crc(frame);
-        assert_eq!(decode_blocking_crc(&wire).unwrap(), *frame);
+        let body = encode(frame);
+        let wire = encode_wire(frame);
+        assert_eq!(decode_blocking(&wire).unwrap(), *frame);
         for cut in 0..wire.len() {
-            assert!(decode_blocking_crc(&wire[..cut]).is_err());
-            if cut < bare.len() {
-                assert!(decode_blocking(&bare[..cut]).is_err());
+            assert!(decode_blocking(&wire[..cut]).is_err());
+            if cut < body.len() {
+                assert!(decode_blocking(&reframe(&body[..cut])).is_err());
             }
         }
         for trial in 0..4096u64 {
@@ -587,7 +578,7 @@ fn resume_frames_survive_focused_truncation_and_storm_corpora() {
             }
             mutant[pos] = byte;
             assert!(
-                decode_blocking_crc(&mutant).is_err(),
+                decode_blocking(&mutant).is_err(),
                 "storm trial {trial} decoded a corrupted resume frame"
             );
         }
@@ -602,121 +593,110 @@ fn oversized_journal_window_claims_decode_without_allocation() {
     // not an allocation request. (The server-side honest rejection is
     // pinned in the server suite.)
     let greedy = Frame::Resume(ResumeRequest {
-        version: 4,
+        version: PROTOCOL_VERSION,
         token: 0x0451,
         events_received: u64::MAX,
     });
-    let wire = encode_wire_crc(&greedy);
+    let wire = encode_wire(&greedy);
     assert!(wire.len() < 32, "Resume stays fixed-size: {}", wire.len());
-    assert_eq!(decode_blocking_crc(&wire).unwrap(), greedy);
-    assert_eq!(decode_trickled_crc(&wire).unwrap(), Some(greedy));
+    assert_eq!(decode_blocking(&wire).unwrap(), greedy);
+    assert_eq!(decode_trickled(&wire).unwrap(), Some(greedy));
 }
 
 // ---------------------------------------------------------------------
-// Protocol v5: the QoS/tenancy tail. The widened params block rides in
-// the full-corpus campaigns above; these pins nail the exact layouts,
-// the version-versus-length cross-check, and the "claims are data, not
+// The fixed layouts: the 32-byte params block with its QoS/tenancy
+// tail, the length cross-check, and the "claims are data, not
 // allocations" property the shared-fleet server leans on.
 // ---------------------------------------------------------------------
 
 #[test]
 fn v5_frames_have_the_documented_widened_layouts() {
     // Body sizes (type byte + payload) pinned straight from
-    // docs/PROTOCOL.md: params 25 → 32 bytes at v5, HelloAck payload
-    // 25/33/40 across v3/v4/v5, ResumeAck payload 50/57 across v4/v5.
-    let v5 = SessionParams {
+    // docs/PROTOCOL.md: params 32 bytes, HelloAck payload 40 (params +
+    // token), ResumeAck payload 57, Resume payload 18.
+    let params = SessionParams {
         qos_weight: 9,
         tenants: 33,
         quota_ops: 70_000,
         ..SessionParams::defaults()
     };
-    let v4 = SessionParams {
-        version: 4,
-        ..SessionParams::defaults()
-    };
-    let v3 = SessionParams {
-        version: 3,
-        ..SessionParams::defaults()
-    };
-    let body_len = |frame: &Frame| encode_wire(frame).len() - 4;
-    assert_eq!(body_len(&Frame::Hello(v5)), 1 + 32);
-    assert_eq!(body_len(&Frame::Hello(v4)), 1 + 25);
-    let ack = |params: &SessionParams, token| Frame::HelloAck {
-        params: *params,
-        token,
-    };
-    assert_eq!(body_len(&ack(&v3, 0)), 1 + 25);
-    assert_eq!(body_len(&ack(&v4, 7)), 1 + 33);
-    assert_eq!(body_len(&ack(&v5, 7)), 1 + 40);
-    let rack = |params: &SessionParams| {
-        Frame::ResumeAck(ResumeAck {
-            params: *params,
-            token: 1,
-            next_seq: 2,
-            replay_events: 3,
-            finished: 0,
-        })
-    };
-    assert_eq!(body_len(&rack(&v4)), 1 + 50);
-    assert_eq!(body_len(&rack(&v5)), 1 + 57);
+    let body_len = |frame: &Frame| encode(frame).len();
+    assert_eq!(body_len(&Frame::Hello(params)), 1 + 32);
+    assert_eq!(body_len(&Frame::HelloAck { params, token: 7 }), 1 + 40);
+    let rack = Frame::ResumeAck(ResumeAck {
+        params,
+        token: 1,
+        next_seq: 2,
+        replay_events: 3,
+        finished: 0,
+    });
+    assert_eq!(body_len(&rack), 1 + 57);
+    let resume = Frame::Resume(ResumeRequest {
+        version: PROTOCOL_VERSION,
+        token: 1,
+        events_received: 2,
+    });
+    assert_eq!(body_len(&resume), 1 + 18);
 
     // The QoS/tenancy tail sits at pinned offsets 25/26/28 of the
-    // params block and round-trips exactly, both framings.
-    let wire = encode_wire(&Frame::Hello(v5));
-    let params = &wire[5..]; // length prefix + HELLO tag
-    assert_eq!(params[25], 9);
-    assert_eq!(u16::from_le_bytes(params[26..28].try_into().unwrap()), 33);
+    // params block and round-trips exactly through both decoders.
+    let hello = Frame::Hello(params);
+    let block = &encode(&hello)[1..]; // past the HELLO tag
+    assert_eq!(block[25], 9);
+    assert_eq!(u16::from_le_bytes(block[26..28].try_into().unwrap()), 33);
     assert_eq!(
-        u32::from_le_bytes(params[28..32].try_into().unwrap()),
+        u32::from_le_bytes(block[28..32].try_into().unwrap()),
         70_000
     );
-    let hello = Frame::Hello(v5);
+    let wire = encode_wire(&hello);
     assert_eq!(decode_blocking(&wire).unwrap(), hello);
-    let crc_wire = encode_wire_crc(&hello);
-    assert_eq!(decode_blocking_crc(&crc_wire).unwrap(), hello);
-    assert_eq!(decode_trickled_crc(&crc_wire).unwrap(), Some(hello));
+    assert_eq!(decode_trickled(&wire).unwrap(), Some(hello));
 }
 
 #[test]
 fn params_version_and_length_mismatches_are_typed_errors() {
-    // The params block's own version field selects its layout; a block
-    // whose length contradicts its claimed version must die as a typed
-    // BadLength in every carrier frame — a v5 header may not smuggle a
-    // short block past the tail reads, nor a v4 header an oversized one.
+    // There is one params layout, 32 bytes. A block of any other length
+    // dies as a typed BadLength in every carrier frame, whatever its
+    // version field claims; the version field itself is data the
+    // server polices, not a layout selector.
     const HELLO_TAG: u8 = 0x01;
     const HELLO_ACK_TAG: u8 = 0x81;
-    let frame_of = |body: Vec<u8>| {
-        let mut wire = (body.len() as u32).to_le_bytes().to_vec();
-        wire.extend_from_slice(&body);
-        wire
-    };
-    let params_claiming = |version: u16, len: usize| {
+    const RESUME_ACK_TAG: u8 = 0x89;
+    let block_of = |version: u16, len: usize| {
         let mut block = vec![0u8; len];
         block[0..2].copy_from_slice(&version.to_le_bytes());
-        block[20] = 2; // refresh: a legal default either way
+        block[20.min(len - 1)] = 2; // refresh: server default
         block
     };
-    for (version, len) in [(5u16, 25usize), (4, 32), (5, 31), (5, 33), (2, 32)] {
-        let mut body = vec![HELLO_TAG];
-        body.extend_from_slice(&params_claiming(version, len));
-        let wire = frame_of(body);
-        match decode_blocking(&wire) {
-            Err(ProtoError::BadLength { tag, got }) => {
-                assert_eq!(tag, HELLO_TAG);
-                assert_eq!(got, len, "v{version} Hello with a {len}-byte block");
+    for version in [2u16, 3, 4, PROTOCOL_VERSION, 6] {
+        for len in [2usize, 25, 31, 33, 40] {
+            let mut body = vec![HELLO_TAG];
+            body.extend_from_slice(&block_of(version, len));
+            match decode_blocking(&reframe(&body)) {
+                Err(ProtoError::BadLength { tag, got }) => {
+                    assert_eq!(tag, HELLO_TAG);
+                    assert_eq!(got, len, "v{version} Hello with a {len}-byte block");
+                }
+                other => panic!("v{version}/{len}B Hello decoded: {other:?}"),
             }
-            other => panic!("v{version}/{len}B Hello decoded: {other:?}"),
+            // The same block inside a HelloAck or ResumeAck (with its
+            // fixed tail) is rejected the same way.
+            for (tag, tail) in [(HELLO_ACK_TAG, 8), (RESUME_ACK_TAG, 25)] {
+                let mut body = vec![tag];
+                body.extend_from_slice(&block_of(version, len));
+                body.extend_from_slice(&vec![0u8; tail]);
+                match decode_blocking(&reframe(&body)) {
+                    Err(ProtoError::BadLength { tag: got, .. }) => assert_eq!(got, tag),
+                    other => panic!("v{version}/{len}B in {tag:#04x} decoded: {other:?}"),
+                }
+            }
         }
-        // The same mismatched block inside a HelloAck (token appended
-        // per the *claimed* version) is rejected the same way.
-        let mut body = vec![HELLO_ACK_TAG];
-        body.extend_from_slice(&params_claiming(version, len));
-        if version >= 4 {
-            body.extend_from_slice(&7u64.to_le_bytes());
-        }
-        match decode_blocking(&frame_of(body)) {
-            Err(ProtoError::BadLength { tag, .. }) => assert_eq!(tag, HELLO_ACK_TAG),
-            other => panic!("v{version}/{len}B HelloAck decoded: {other:?}"),
+        // The right length decodes, whatever the version says.
+        let mut body = vec![HELLO_TAG];
+        body.extend_from_slice(&block_of(version, 32));
+        match decode_blocking(&reframe(&body)) {
+            Ok(Frame::Hello(p)) => assert_eq!(p.version, version),
+            other => panic!("v{version} 32-byte Hello: {other:?}"),
         }
     }
 }
@@ -726,8 +706,8 @@ fn oversized_tenant_and_quota_claims_decode_as_data_not_allocation() {
     // `tenants` and `quota_ops` are *claims* the server polices against
     // MAX_TENANT_CLAIM / MAX_QUOTA_CLAIM before allocating anything
     // (pinned end to end in the fleet suite); the decoder's only job is
-    // to carry them. A maxed-out claim is a fixed 37-byte wire frame,
-    // not an allocation request, under both framings.
+    // to carry them. A maxed-out claim is a fixed 41-byte wire frame,
+    // not an allocation request.
     let greedy = Frame::Hello(SessionParams {
         qos_weight: u8::MAX,
         tenants: u16::MAX,
@@ -735,26 +715,7 @@ fn oversized_tenant_and_quota_claims_decode_as_data_not_allocation() {
         ..SessionParams::defaults()
     });
     let wire = encode_wire(&greedy);
-    assert_eq!(wire.len(), 4 + 1 + 32, "claims never change the layout");
+    assert_eq!(wire.len(), 4 + 1 + 32 + 4, "claims never change the layout");
     assert_eq!(decode_blocking(&wire).unwrap(), greedy);
-    assert_eq!(decode_trickled(&wire).unwrap(), Some(greedy.clone()));
-    let crc_wire = encode_wire_crc(&greedy);
-    assert_eq!(decode_blocking_crc(&crc_wire).unwrap(), greedy);
-    assert_eq!(decode_trickled_crc(&crc_wire).unwrap(), Some(greedy));
-}
-
-#[test]
-fn oversized_length_prefixes_are_rejected_before_allocation_under_crc() {
-    for claimed in [MAX_FRAME_LEN + 1, u32::MAX / 2, u32::MAX] {
-        let mut wire = claimed.to_le_bytes().to_vec();
-        wire.extend_from_slice(&[0u8; 8]);
-        match decode_blocking_crc(&wire) {
-            Err(ProtoError::Oversized(len)) => assert_eq!(len, claimed),
-            other => panic!("expected Oversized, got {other:?}"),
-        }
-        match decode_trickled_crc(&wire) {
-            Err(ProtoError::Oversized(len)) => assert_eq!(len, claimed),
-            other => panic!("expected Oversized, got {other:?}"),
-        }
-    }
+    assert_eq!(decode_trickled(&wire).unwrap(), Some(greedy));
 }

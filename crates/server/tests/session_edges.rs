@@ -1,14 +1,18 @@
-//! Session edge cases: degenerate windows, empty work units, and the
+//! Session edge cases: degenerate windows, empty work units, the
 //! zero-completion session — the corners where backpressure and tally
-//! bookkeeping are easiest to get wrong.
+//! bookkeeping are easiest to get wrong — and the typed refusal of
+//! peers speaking another protocol version.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 
 use codic_server::client::{replay, verify_against_reference};
-use codic_server::proto::{read_frame, write_frame, Frame, SessionEvent, SessionParams};
-use codic_server::server::{ReplayServer, ServerConfig};
+use codic_server::proto::{
+    decode_body, read_frame_crc, write_frame_crc, ErrorCode, Frame, ResumeRequest, SessionEvent,
+    SessionParams, PROTOCOL_VERSION,
+};
+use codic_server::server::{serve_session, ReplayServer, ServerConfig, SessionEnd};
 use codic_server::trace::generate_mixed;
 
 fn temp_socket(tag: &str) -> PathBuf {
@@ -31,16 +35,6 @@ fn with_server<R>(
     out
 }
 
-/// Bare-framed session parameters: protocol v4 CRC-frames every reply,
-/// so raw frame-level choreography with `read_frame` pins v3 (these
-/// edges are framing-independent; v4 has its own CRC-aware suites).
-fn bare_params() -> SessionParams {
-    SessionParams {
-        version: 3,
-        ..SessionParams::defaults()
-    }
-}
-
 /// A raw protocol session: Hello, then hand the typed reader/writer to
 /// the closure for frame-level choreography.
 fn raw_session<R>(
@@ -51,9 +45,9 @@ fn raw_session<R>(
     let stream = UnixStream::connect(socket).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = BufWriter::new(stream);
-    write_frame(&mut writer, &Frame::Hello(*hello)).expect("hello");
+    write_frame_crc(&mut writer, &Frame::Hello(*hello)).expect("hello");
     writer.flush().expect("flush");
-    match read_frame(&mut reader).expect("hello ack") {
+    match read_frame_crc(&mut reader).expect("hello ack") {
         Frame::HelloAck { .. } => {}
         other => panic!("expected HelloAck, got {other:?}"),
     }
@@ -82,11 +76,11 @@ fn outstanding_window_of_one_fully_serializes_and_verifies() {
 fn empty_batch_is_acked_without_consuming_sequence_numbers() {
     let ops = generate_mixed(8, 8192, 3);
     with_server("emptybatch", ServerConfig::default(), 1, |socket| {
-        raw_session(socket, &bare_params(), |reader, writer| {
+        raw_session(socket, &SessionParams::defaults(), |reader, writer| {
             // An empty batch: legal, acked, and free.
-            write_frame(writer, &Frame::Batch(Vec::new())).expect("send");
+            write_frame_crc(writer, &Frame::Batch(Vec::new())).expect("send");
             writer.flush().expect("flush");
-            let ack = match read_frame(reader).expect("ack") {
+            let ack = match read_frame_crc(reader).expect("ack") {
                 Frame::Batched(ack) => ack,
                 other => panic!("expected Batched, got {other:?}"),
             };
@@ -96,11 +90,10 @@ fn empty_batch_is_acked_without_consuming_sequence_numbers() {
             assert_eq!(ack.outstanding, 0);
 
             // The next real batch starts exactly where the session began.
-            write_frame(writer, &Frame::Batch(ops.clone())).expect("send");
+            write_frame_crc(writer, &Frame::Batch(ops.clone())).expect("send");
             writer.flush().expect("flush");
             loop {
-                match read_frame(reader).expect("burst") {
-                    Frame::Completion(c) => assert!(c.seq < ops.len() as u64),
+                match read_frame_crc(reader).expect("burst") {
                     Frame::Events(events) => {
                         for event in events {
                             match event {
@@ -118,19 +111,19 @@ fn empty_batch_is_acked_without_consuming_sequence_numbers() {
                         assert_eq!(ack.accepted, ops.len() as u32);
                         break;
                     }
-                    other => panic!("expected Completion/Events/Batched, got {other:?}"),
+                    other => panic!("expected Events/Batched, got {other:?}"),
                 }
             }
-            write_frame(writer, &Frame::Bye).expect("bye");
+            write_frame_crc(writer, &Frame::Bye).expect("bye");
             writer.flush().expect("flush");
             loop {
-                match read_frame(reader).expect("tail") {
-                    Frame::Completion(_) | Frame::Events(_) => {}
+                match read_frame_crc(reader).expect("tail") {
+                    Frame::Events(_) => {}
                     Frame::Summary(s) => {
                         assert_eq!(s.ops, ops.len() as u64);
                         break;
                     }
-                    other => panic!("expected Completion/Events/Summary, got {other:?}"),
+                    other => panic!("expected Events/Summary, got {other:?}"),
                 }
             }
         });
@@ -140,20 +133,20 @@ fn empty_batch_is_acked_without_consuming_sequence_numbers() {
 #[test]
 fn flush_with_nothing_in_flight_acks_zero() {
     with_server("idleflush", ServerConfig::default(), 1, |socket| {
-        raw_session(socket, &bare_params(), |reader, writer| {
+        raw_session(socket, &SessionParams::defaults(), |reader, writer| {
             for _ in 0..2 {
-                write_frame(writer, &Frame::Flush).expect("send");
+                write_frame_crc(writer, &Frame::Flush).expect("send");
                 writer.flush().expect("flush");
-                match read_frame(reader).expect("ack") {
+                match read_frame_crc(reader).expect("ack") {
                     Frame::Flushed(ack) => {
                         assert_eq!(ack.emitted, 0, "nothing was in flight");
                     }
                     other => panic!("expected Flushed, got {other:?}"),
                 }
             }
-            write_frame(writer, &Frame::Bye).expect("bye");
+            write_frame_crc(writer, &Frame::Bye).expect("bye");
             writer.flush().expect("flush");
-            match read_frame(reader).expect("summary") {
+            match read_frame_crc(reader).expect("summary") {
                 Frame::Summary(s) => assert_eq!(s.ops, 0),
                 other => panic!("expected Summary, got {other:?}"),
             }
@@ -167,10 +160,10 @@ fn zero_completion_session_reports_the_empty_checksum() {
     // streamed a frame must say exactly that, not zero.
     const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
     with_server("zerosession", ServerConfig::default(), 1, |socket| {
-        raw_session(socket, &bare_params(), |reader, writer| {
-            write_frame(writer, &Frame::Bye).expect("bye");
+        raw_session(socket, &SessionParams::defaults(), |reader, writer| {
+            write_frame_crc(writer, &Frame::Bye).expect("bye");
             writer.flush().expect("flush");
-            match read_frame(reader).expect("summary") {
+            match read_frame_crc(reader).expect("summary") {
                 Frame::Summary(s) => {
                     assert_eq!(s.ops, 0);
                     assert_eq!(s.row_ops, 0);
@@ -191,15 +184,15 @@ fn governed_empty_batches_never_divide_by_zero_or_sleep() {
     // zero rows and must neither stall nor panic.
     let governed = SessionParams {
         target_rows_per_s: 1_000,
-        ..bare_params()
+        ..SessionParams::defaults()
     };
     with_server("govempty", ServerConfig::default(), 1, |socket| {
         raw_session(socket, &governed, |reader, writer| {
             let started = std::time::Instant::now();
             for _ in 0..16 {
-                write_frame(writer, &Frame::Batch(Vec::new())).expect("send");
+                write_frame_crc(writer, &Frame::Batch(Vec::new())).expect("send");
                 writer.flush().expect("flush");
-                match read_frame(reader).expect("ack") {
+                match read_frame_crc(reader).expect("ack") {
                     Frame::Batched(ack) => assert_eq!(ack.accepted, 0),
                     other => panic!("expected Batched, got {other:?}"),
                 }
@@ -208,12 +201,136 @@ fn governed_empty_batches_never_divide_by_zero_or_sleep() {
                 started.elapsed() < std::time::Duration::from_secs(2),
                 "zero-row batches must not be paced as if they carried rows"
             );
-            write_frame(writer, &Frame::Bye).expect("bye");
+            write_frame_crc(writer, &Frame::Bye).expect("bye");
             writer.flush().expect("flush");
-            match read_frame(reader).expect("summary") {
+            match read_frame_crc(reader).expect("summary") {
                 Frame::Summary(s) => assert_eq!(s.ops, 0),
                 other => panic!("expected Summary, got {other:?}"),
             }
         });
+    });
+}
+
+/// A bare (trailer-less) `Hello` in the 25-byte params layout older
+/// peers sent: no CRC32C trailer, no QoS/tenancy tail.
+fn bare_v3_hello() -> Vec<u8> {
+    let mut body = vec![0x01];
+    body.extend_from_slice(&3u16.to_le_bytes()); // version
+    body.extend_from_slice(&[0u8; 18]); // shards .. target_rows_per_s
+    body.push(2); // refresh: server default
+    body.extend_from_slice(&[0u8; 4]); // compute_rows
+    let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+    wire.extend_from_slice(&body);
+    wire
+}
+
+/// Reads one bare frame: a length prefix and a body with no trailer.
+fn read_bare<R: Read>(reader: &mut R) -> Frame {
+    let mut len = [0u8; 4];
+    reader.read_exact(&mut len).expect("length prefix");
+    let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+    reader.read_exact(&mut body).expect("body");
+    decode_body(&body).expect("a bare frame")
+}
+
+/// Every first frame an old peer might send, each with the reply code
+/// it earns: a CRC-framed `Hello` or `Resume` of another version gets a
+/// typed `Version` error.
+fn refused_first_frames() -> Vec<(Frame, ErrorCode)> {
+    let mut frames: Vec<(Frame, ErrorCode)> = [0u16, 2, 3, 4, 6, u16::MAX]
+        .into_iter()
+        .map(|version| {
+            let hello = SessionParams {
+                version,
+                ..SessionParams::defaults()
+            };
+            (Frame::Hello(hello), ErrorCode::Version)
+        })
+        .collect();
+    frames.push((
+        Frame::Resume(ResumeRequest {
+            version: 4,
+            token: 1,
+            events_received: 0,
+        }),
+        ErrorCode::Version,
+    ));
+    frames
+}
+
+#[test]
+fn old_peers_are_refused_with_typed_errors() {
+    // In memory, where the session end is visible: a bare v3 Hello fails
+    // its CRC check and gets a bare Malformed reply it can still read.
+    let config = ServerConfig::default();
+    let mut output = Vec::new();
+    let end = serve_session(&mut bare_v3_hello().as_slice(), &mut output, &config).unwrap();
+    assert!(matches!(end, SessionEnd::Protocol(_)), "bare v3: {end:?}");
+    let mut reply = output.as_slice();
+    assert!(matches!(
+        read_bare(&mut reply),
+        Frame::Error {
+            code: ErrorCode::Malformed,
+            ..
+        }
+    ));
+    assert!(reply.is_empty(), "one bare frame, no trailer");
+    for (frame, code) in refused_first_frames() {
+        let mut input = Vec::new();
+        write_frame_crc(&mut input, &frame).unwrap();
+        let mut output = Vec::new();
+        let end = serve_session(&mut input.as_slice(), &mut output, &config).unwrap();
+        assert!(matches!(end, SessionEnd::Rejected(_)), "{frame:?}: {end:?}");
+        match read_frame_crc(&mut output.as_slice()).unwrap() {
+            Frame::Error { code: got, .. } => assert_eq!(got, code, "{frame:?}"),
+            other => panic!("{frame:?} got {other:?}"),
+        }
+    }
+
+    // Over a fleet server's socket: no refusal ever holds a tenant slot,
+    // and the one slot still serves a current client afterwards.
+    let socket = temp_socket("oldpeers");
+    let fleet = ServerConfig {
+        fleet_slots: 1,
+        ..ServerConfig::default()
+    };
+    let server = ReplayServer::bind(&socket, fleet).expect("bind temp socket");
+    let refusals = refused_first_frames();
+    std::thread::scope(|scope| {
+        let serving = scope.spawn(|| server.serve_connections(refusals.len() + 2));
+        let connect = || {
+            let stream = UnixStream::connect(&socket).expect("connect");
+            (
+                BufReader::new(stream.try_clone().expect("clone")),
+                BufWriter::new(stream),
+            )
+        };
+        assert_eq!(server.free_tenant_slots(), Some(1));
+        let (mut reader, mut writer) = connect();
+        writer.write_all(&bare_v3_hello()).expect("send");
+        writer.flush().expect("flush");
+        assert!(matches!(
+            read_bare(&mut reader),
+            Frame::Error {
+                code: ErrorCode::Malformed,
+                ..
+            }
+        ));
+        assert_eq!(server.free_tenant_slots(), Some(1), "bare v3 Hello");
+        for (frame, code) in &refusals {
+            let (mut reader, mut writer) = connect();
+            write_frame_crc(&mut writer, frame).expect("send");
+            writer.flush().expect("flush");
+            match read_frame_crc(&mut reader).expect("reply") {
+                Frame::Error { code: got, .. } => assert_eq!(got, *code, "{frame:?}"),
+                other => panic!("{frame:?} got {other:?}"),
+            }
+            assert_eq!(server.free_tenant_slots(), Some(1), "{frame:?}");
+        }
+        let ops = generate_mixed(64, 8192, 5);
+        let report = replay(&socket, &SessionParams::defaults(), &ops, 16).expect("v5 session");
+        assert_eq!(report.params.version, PROTOCOL_VERSION);
+        assert_eq!(report.summary.ops, 64);
+        serving.join().expect("server thread").expect("serve");
     });
 }
