@@ -202,9 +202,9 @@ fn replay_serving(
 
 /// Shared-fleet multi-tenant serving: `tenants` concurrent threads each
 /// lease one single-shard slot of one [`FleetHandle`](codic_core::fleet::FleetHandle) and replay a
-/// private mixed trace through the deficit-round-robin scheduler,
-/// batch by batch. Reports aggregate host rows/s across all tenants
-/// and the p99 per-batch admission-to-drain latency — the fairness
+/// private mixed trace, batch by batch, each batch admitted straight
+/// into its own lease. Reports aggregate host rows/s across all tenants
+/// and the p99 per-batch admission-to-drain latency — the contention
 /// number a co-tenant actually feels. Every tenant's event count is
 /// asserted against its accepted ops (exactly-once delivery under
 /// contention); the bit-identity of each stream to a private pool is
@@ -792,7 +792,7 @@ fn main() {
         return;
     }
     if has_flag("--fleet-only") {
-        // CI smoke: the DRR scheduler under real thread contention,
+        // CI smoke: the shared fleet under real thread contention,
         // tenants 1 → 16 on one shared single-shard-per-slot fleet.
         // Exactly-once delivery is asserted inside the workload.
         let reps = arg("--reps").unwrap_or(1);
@@ -867,7 +867,7 @@ fn main() {
     );
     // Shared-fleet multi-tenant serving: tenants 1 → 16 on one fleet,
     // one shard per slot, each tenant a thread replaying its own trace
-    // through the deficit-round-robin scheduler.
+    // into its own lease.
     let fleet = fleet_sweep(2 * rows, reps);
     for (tenants, m, p99) in &fleet {
         print_fleet_entry(*tenants, m, *p99, false);

@@ -1,39 +1,35 @@
-//! A shared device fleet multiplexing many tenants over one
-//! [`DevicePool`].
+//! A shared device fleet multiplexing many tenants over one array of
+//! devices.
 //!
-//! Every serving layer before this one gave each session a private pool.
-//! [`SharedFleet`] is the multi-tenant substrate CODIC actually targets:
-//! one sharded fleet of devices, carved into fixed-size *slots* of
+//! [`SharedFleet`] is the substrate every non-worker session is served
+//! from: one sharded array of devices, carved into fixed-size *slots* of
 //! contiguous shards, with each tenant holding an exclusive
-//! [`ShardLease`] over its slot. Three properties define the design:
+//! [`ShardLease`] over its slot. A private session is the only tenant of
+//! a one-slot fleet. Two properties define the design:
 //!
 //! - **Isolation by construction.** A tenant's lease routes, quarantines,
 //!   and drives clocks with the *same* [`ShardLease`] machinery a private
-//!   [`DevicePool`] uses over its own shards, against devices freshly
-//!   rebuilt at acquisition with lease-local fault seeding. A tenant's
-//!   demultiplexed event stream — sequence numbers, lease-local shard
-//!   indices, finish cycles, energy bits, fingerprints, typed failures —
-//!   is therefore bit-identical to a solo run on an equivalent private
-//!   pool, regardless of what other tenants do. The test battery in
-//!   `tests/fleet_isolation.rs` pins this, not just claims it.
-//! - **Fair admission.** Queued batches are admitted by deficit
-//!   round-robin over the slots: each rotation visit grants a tenant
-//!   `weight × quantum` ops of credit, batches are admitted while the
-//!   front batch's cost fits the deficit, and an idle tenant forfeits its
-//!   credit. With `quantum` at least the largest batch cost, every
-//!   pending tenant is served within one full rotation — the starvation
-//!   bound `tests/fleet_fairness.rs` asserts.
-//! - **Quota backpressure.** Each tenant's outstanding-op quota is
-//!   enforced the way a private serving engine bounds its own window:
-//!   after admission, the tenant's *own* lease is stepped until its
-//!   outstanding count is back under quota. Fairness and quotas shape
-//!   host-side admission order only; they never touch device timing.
+//!   [`DevicePool`](crate::pool::DevicePool) uses over its own shards,
+//!   against devices built fresh for the tenancy with lease-local fault
+//!   seeding. A tenant's event stream — sequence numbers, lease-local
+//!   shard indices, finish cycles, energy bits, fingerprints, typed
+//!   failures — is therefore bit-identical to a solo run on an
+//!   equivalent private pool, regardless of what other tenants do. The
+//!   test battery in `tests/fleet_isolation.rs` pins this, not just
+//!   claims it.
+//! - **Quota backpressure.** After every submission the tenant's *own*
+//!   lease is stepped until its outstanding count is back under its
+//!   quota, the way a private serving engine bounds its window. Quotas
+//!   shape host-side work only; they never touch another tenant's
+//!   clocks.
+//!
+//! Admission is direct: [`SharedFleet::submit`] runs the batch through
+//! the tenant's lease and returns the events that drained. There is no
+//! cross-tenant scheduler. Slots are disjoint shards, so the only thing
+//! tenants share is the host CPU and the fleet lock.
 //!
 //! [`FleetHandle`] wraps the fleet in `Arc<Mutex<…>>` for the server's
-//! one-thread-per-session model: sessions submit batches, the lock
-//! holder pumps the round-robin until its own ticket resolves (doing
-//! other tenants' admissions in fair order on the way), and each
-//! tenant's events stay in per-tenant buffers until collected.
+//! one-thread-per-session model.
 //!
 //! # Example
 //!
@@ -67,16 +63,15 @@
 //! fleet.release(b);
 //! ```
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::device::{DeviceConfig, OpCompletion};
+use crate::device::{CodicDevice, DeviceConfig};
 use crate::error::CodicError;
+use crate::executor::OpFuture;
 use crate::fault::HealthPolicy;
-use crate::idmap::IdMap;
 use crate::ops::CodicOp;
-use crate::pool::{DevicePool, ShardHealth, ShardLease};
+use crate::pool::{shard_device, ServedOp, ShardHealth, ShardLease};
 
 /// Static shape of a [`SharedFleet`].
 #[derive(Debug, Clone)]
@@ -94,18 +89,13 @@ pub struct FleetConfig {
     /// Default per-tenant outstanding-op quota
     /// (see [`SharedFleet::acquire_with`] to override per tenant).
     pub quota: usize,
-    /// Deficit-round-robin quantum: ops of admission credit granted per
-    /// weight unit per rotation visit. Any quantum at least the largest
-    /// batch cost bounds every pending tenant's wait to one rotation.
-    pub quantum: u32,
     /// Self-quarantine policy applied to every tenant's lease.
     pub health: HealthPolicy,
 }
 
 impl FleetConfig {
     /// A fleet of `slots` tenant slots, `shards_per_slot` shards each,
-    /// with the default quota (1024 ops), quantum (4096 ops), and health
-    /// policy.
+    /// with the default quota (1024 ops) and health policy.
     #[must_use]
     pub fn new(slots: usize, shards_per_slot: usize, device: DeviceConfig) -> Self {
         FleetConfig {
@@ -113,7 +103,6 @@ impl FleetConfig {
             shards_per_slot,
             device,
             quota: 1024,
-            quantum: 4096,
             health: HealthPolicy::default(),
         }
     }
@@ -122,13 +111,6 @@ impl FleetConfig {
     #[must_use]
     pub fn with_quota(mut self, quota: usize) -> Self {
         self.quota = quota.max(1);
-        self
-    }
-
-    /// Replaces the deficit-round-robin quantum.
-    #[must_use]
-    pub fn with_quantum(mut self, quantum: u32) -> Self {
-        self.quantum = quantum.max(1);
         self
     }
 
@@ -157,21 +139,7 @@ impl TenantId {
     }
 }
 
-/// One demultiplexed completion event of a tenant's stream. `shard` is
-/// **lease-local** — the same index an equivalent private pool would
-/// report — so the stream carries no trace of where in the fleet the
-/// tenant's slot happens to sit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetEvent {
-    /// Tenant-stream sequence number (dense from 0, submission order).
-    pub seq: u64,
-    /// Lease-local shard that served the operation.
-    pub shard: u16,
-    /// The device-level completion, bit-for-bit.
-    pub completion: OpCompletion,
-}
-
-/// What the fleet admitted for one enqueued batch.
+/// What the fleet admitted for one submitted batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmitReceipt {
     /// First sequence number assigned to the batch.
@@ -181,65 +149,101 @@ pub struct AdmitReceipt {
     pub accepted: u32,
 }
 
-/// A batch waiting in a tenant's pending queue for DRR admission.
-#[derive(Debug)]
-struct PendingBatch {
-    ticket: u64,
-    ops: Vec<CodicOp>,
-}
-
 /// One live tenancy: the lease plus everything a private serving engine
 /// would keep per session.
 #[derive(Debug)]
 struct Tenant {
     epoch: u64,
     lease: ShardLease,
-    /// QoS weight: admission credit per rotation is `weight × quantum`.
-    weight: u32,
     /// Outstanding-op quota enforced by stepping the tenant's own lease.
     quota: usize,
-    /// Deficit-round-robin credit, in ops.
-    deficit: u64,
     /// Next tenant-stream sequence number.
     next_seq: u64,
-    /// Batches enqueued but not yet admitted.
-    pending: VecDeque<PendingBatch>,
     /// Admitted, not yet completed: `(seq, lease-local shard, future)`.
-    inflight: Vec<(u64, u16, crate::executor::OpFuture)>,
-    scratch: Vec<(u64, u16, crate::executor::OpFuture)>,
-    /// Completed events awaiting collection, in emission order.
-    events: Vec<FleetEvent>,
-    /// Batches admitted over the tenancy (fairness observability).
-    admitted: u64,
+    inflight: Vec<(u64, u16, OpFuture)>,
+    scratch: Vec<(u64, u16, OpFuture)>,
 }
 
+impl Tenant {
+    /// The private serving engine's submission discipline, confined to
+    /// the tenant's lease: all-or-nothing routed submission, quota
+    /// backpressure stepping only this tenant's shards, health check at
+    /// the batch boundary, then a non-blocking drain. Every clock this
+    /// touches belongs to the tenant's own slot, so no other tenant's
+    /// device timeline can be perturbed.
+    fn admit(
+        &mut self,
+        devices: &mut [CodicDevice],
+        ops: &[CodicOp],
+    ) -> Result<(AdmitReceipt, Vec<ServedOp>), CodicError> {
+        let routed = self.lease.submit_all_async_routed(devices, ops)?;
+        let seq_base = self.next_seq;
+        for (local, future) in routed {
+            self.inflight.push((self.next_seq, local as u16, future));
+            self.next_seq += 1;
+        }
+        while self.lease.outstanding(devices) > self.quota {
+            if !self.lease.step(devices) {
+                break;
+            }
+        }
+        self.lease.check_health(devices);
+        let receipt = AdmitReceipt {
+            seq_base,
+            accepted: ops.len() as u32,
+        };
+        Ok((receipt, self.drain()))
+    }
+
+    /// Takes every resolved in-flight future, ordered by
+    /// `(finish_cycle, seq)`: ascending finish cycle, ties broken by
+    /// submission sequence (a total order, so the interleaving across
+    /// shards is deterministic).
+    fn drain(&mut self) -> Vec<ServedOp> {
+        let mut ready = Vec::new();
+        self.scratch.clear();
+        for (seq, shard, mut future) in self.inflight.drain(..) {
+            match future.try_take() {
+                Some(completion) => ready.push(ServedOp {
+                    seq,
+                    shard,
+                    completion,
+                }),
+                None => self.scratch.push((seq, shard, future)),
+            }
+        }
+        std::mem::swap(&mut self.inflight, &mut self.scratch);
+        ready.sort_by_key(|e| (e.completion.finish_cycle, e.seq));
+        ready
+    }
+}
+
+/// A slot's occupancy. `Fresh` devices were built for a first tenancy
+/// and never served; `Spent` devices carry a previous tenant's state and
+/// are rebuilt when the slot is next acquired.
 #[derive(Debug)]
 enum Slot {
-    Free,
+    Fresh,
+    Spent,
     Held(Box<Tenant>),
 }
 
-/// The shared fleet: one [`DevicePool`] carved into per-tenant
-/// [`ShardLease`]s, with deficit-round-robin admission at the pool
-/// boundary. See the [module docs](self) for the design contract.
+/// The shared fleet: one device array carved into per-tenant
+/// [`ShardLease`]s. See the [module docs](self) for the design contract.
 #[derive(Debug)]
 pub struct SharedFleet {
-    pool: DevicePool,
+    devices: Vec<CodicDevice>,
     config: FleetConfig,
     slots: Vec<Slot>,
-    /// Next slot the round-robin visits.
-    cursor: usize,
     /// Monotonic tenancy counter backing [`TenantId`] staleness checks.
     epoch: u64,
-    next_ticket: u64,
-    /// Resolved admission tickets awaiting collection.
-    tickets: IdMap<Result<AdmitReceipt, CodicError>>,
 }
 
 impl SharedFleet {
-    /// Builds the fleet: `slots × shards_per_slot` devices, all slots
-    /// free. The pool is built fault-free; fault schedules are derived
-    /// per tenant at [`SharedFleet::acquire`] with lease-local seeding.
+    /// Builds the fleet, all slots free: `slots × shards_per_slot`
+    /// devices, each slot's shards built the way a private pool of
+    /// `shards_per_slot` shards builds them (the base fault plan, if
+    /// any, derived by **lease-local** shard index).
     ///
     /// # Panics
     ///
@@ -251,16 +255,13 @@ impl SharedFleet {
             config.shards_per_slot > 0,
             "a slot needs at least one shard"
         );
-        let mut base = config.device.clone();
-        base.fault = None;
-        let pool = DevicePool::new(config.slots * config.shards_per_slot, &base);
+        let per_slot = config.shards_per_slot;
         SharedFleet {
-            pool,
-            slots: (0..config.slots).map(|_| Slot::Free).collect(),
-            cursor: 0,
+            devices: (0..config.slots * per_slot)
+                .map(|shard| shard_device(&config.device, shard % per_slot))
+                .collect(),
+            slots: (0..config.slots).map(|_| Slot::Fresh).collect(),
             epoch: 0,
-            next_ticket: 0,
-            tickets: IdMap::with_capacity(config.slots.max(8) * 2),
             config,
         }
     }
@@ -276,7 +277,7 @@ impl SharedFleet {
     pub fn free_slots(&self) -> usize {
         self.slots
             .iter()
-            .filter(|s| matches!(s, Slot::Free))
+            .filter(|s| !matches!(s, Slot::Held(_)))
             .count()
     }
 
@@ -286,44 +287,44 @@ impl SharedFleet {
         self.config.shards_per_slot
     }
 
-    /// Acquires a free slot with weight 1 and the fleet's default quota.
+    /// Acquires a free slot with the fleet's default quota.
     pub fn acquire(&mut self) -> Option<TenantId> {
-        self.acquire_with(1, self.config.quota)
+        self.acquire_with(self.config.quota)
     }
 
-    /// Acquires the lowest free slot for a new tenant with the given QoS
-    /// `weight` and outstanding-op `quota` (both clamped to at least 1),
-    /// or `None` when the fleet is full.
+    /// Acquires the lowest free slot for a new tenant with outstanding-op
+    /// `quota` (clamped to at least 1), or `None` when the fleet is full.
     ///
-    /// Every shard of the slot is rebuilt factory-fresh, with the base
-    /// fault plan (if any) derived by **lease-local** shard index —
-    /// local shard `l` runs `plan.for_shard(l)` — exactly what
-    /// [`DevicePool::new`] would build for a private pool of
-    /// `shards_per_slot` shards. That, plus the lease's own routing and
+    /// The tenant gets factory-fresh devices: local shard `l` runs
+    /// `plan.for_shard(l)`, exactly what [`DevicePool::new`] builds for a
+    /// private pool of `shards_per_slot` shards. A slot's first tenancy
+    /// takes the devices built with the fleet; a slot a previous tenant
+    /// held is rebuilt here. That, plus the lease's own routing and
     /// health state, is the whole solo-equivalence argument.
-    pub fn acquire_with(&mut self, weight: u32, quota: usize) -> Option<TenantId> {
-        let slot = self.slots.iter().position(|s| matches!(s, Slot::Free))?;
-        let base = slot * self.config.shards_per_slot;
-        for local in 0..self.config.shards_per_slot {
-            let mut cfg = self.config.device.clone();
-            cfg.fault = cfg.fault.map(|plan| plan.for_shard(local));
-            self.pool.reset_shard(base + local, &cfg);
+    ///
+    /// [`DevicePool::new`]: crate::pool::DevicePool::new
+    pub fn acquire_with(&mut self, quota: usize) -> Option<TenantId> {
+        let slot = self
+            .slots
+            .iter()
+            .position(|s| !matches!(s, Slot::Held(_)))?;
+        let per_slot = self.config.shards_per_slot;
+        let base = slot * per_slot;
+        if matches!(self.slots[slot], Slot::Spent) {
+            for local in 0..per_slot {
+                self.devices[base + local] = shard_device(&self.config.device, local);
+            }
         }
-        let mut lease = ShardLease::new(base, self.config.shards_per_slot, &self.config.device);
+        let mut lease = ShardLease::new(base, per_slot, &self.config.device);
         lease.set_health_policy(self.config.health);
         self.epoch += 1;
         self.slots[slot] = Slot::Held(Box::new(Tenant {
             epoch: self.epoch,
             lease,
-            weight: weight.max(1),
             quota: quota.max(1),
-            deficit: 0,
             next_seq: 0,
-            pending: VecDeque::new(),
             inflight: Vec::new(),
             scratch: Vec::new(),
-            events: Vec::new(),
-            admitted: 0,
         }));
         Some(TenantId {
             slot,
@@ -332,22 +333,14 @@ impl SharedFleet {
     }
 
     /// Releases the tenancy, freeing its slot for the next tenant (whose
-    /// acquisition rebuilds the devices). Batches still pending resolve
-    /// their tickets as [`CodicError::NoHealthyShards`] — a released
-    /// tenant has no shards left to admit to.
+    /// acquisition rebuilds the devices).
     ///
     /// # Panics
     ///
     /// Panics on a stale [`TenantId`].
     pub fn release(&mut self, id: TenantId) {
         let slot = self.checked_slot(id);
-        if let Slot::Held(tenant) = &mut self.slots[slot] {
-            for batch in tenant.pending.drain(..) {
-                self.tickets
-                    .insert(batch.ticket, Err(CodicError::NoHealthyShards));
-            }
-        }
-        self.slots[slot] = Slot::Free;
+        self.slots[slot] = Slot::Spent;
     }
 
     fn checked_slot(&self, id: TenantId) -> usize {
@@ -357,11 +350,12 @@ impl SharedFleet {
         }
     }
 
-    fn tenant_mut(&mut self, id: TenantId) -> &mut Tenant {
+    /// The tenant and the device array its lease indexes into.
+    fn tenant_mut(&mut self, id: TenantId) -> (&mut Tenant, &mut [CodicDevice]) {
         let slot = self.checked_slot(id);
         match &mut self.slots[slot] {
-            Slot::Held(t) => t,
-            Slot::Free => unreachable!("checked_slot verified occupancy"),
+            Slot::Held(t) => (t, &mut self.devices),
+            _ => unreachable!("checked_slot verified occupancy"),
         }
     }
 
@@ -369,197 +363,52 @@ impl SharedFleet {
         let slot = self.checked_slot(id);
         match &self.slots[slot] {
             Slot::Held(t) => t,
-            Slot::Free => unreachable!("checked_slot verified occupancy"),
+            _ => unreachable!("checked_slot verified occupancy"),
         }
     }
 
-    /// Queues a batch for fair admission; returns the ticket that
-    /// [`SharedFleet::pump_until`] resolves. Sequence numbers are
-    /// assigned at *admission*, so they follow admission order (which,
-    /// within one tenant, is enqueue order — the queue is FIFO).
-    pub fn enqueue(&mut self, id: TenantId, ops: &[CodicOp]) -> u64 {
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        self.tenant_mut(id).pending.push_back(PendingBatch {
-            ticket,
-            ops: ops.to_vec(),
-        });
-        ticket
-    }
-
-    /// Collects a resolved ticket, if resolved.
-    pub fn take_ticket(&mut self, ticket: u64) -> Option<Result<AdmitReceipt, CodicError>> {
-        self.tickets.remove(ticket)
-    }
-
-    /// True while any tenant has batches awaiting admission.
-    #[must_use]
-    pub fn has_pending(&self) -> bool {
-        self.slots.iter().any(|s| match s {
-            Slot::Held(t) => !t.pending.is_empty(),
-            Slot::Free => false,
-        })
-    }
-
-    /// One deficit-round-robin visit: grants the cursor slot's tenant its
-    /// credit and admits its queued batches while they fit, then advances
-    /// the cursor. Returns the number of batches admitted.
-    ///
-    /// Classic DRR, with batch length in ops as the cost function: an
-    /// idle queue forfeits its credit (deficits measure backlog service,
-    /// not idle accumulation), and a visited backlog earns
-    /// `weight × quantum` more credit than it did last rotation — so any
-    /// pending batch is eventually affordable, and with the quantum at
-    /// least the largest batch cost, affordable within one rotation.
-    pub fn pump_turn(&mut self) -> usize {
-        let slot = self.cursor;
-        self.cursor = (self.cursor + 1) % self.slots.len();
-        let quantum = self.config.quantum;
-        let Slot::Held(tenant) = &mut self.slots[slot] else {
-            return 0;
-        };
-        if tenant.pending.is_empty() {
-            tenant.deficit = 0;
-            return 0;
-        }
-        tenant.deficit = tenant
-            .deficit
-            .saturating_add(u64::from(tenant.weight) * u64::from(quantum));
-        let mut admitted = 0;
-        while let Some(front) = tenant.pending.front() {
-            let cost = (front.ops.len() as u64).max(1);
-            if cost > tenant.deficit {
-                break;
-            }
-            let batch = tenant.pending.pop_front().expect("front exists");
-            tenant.deficit -= cost;
-            let result = Self::admit(&mut self.pool, tenant, &batch.ops);
-            self.tickets.insert(batch.ticket, result);
-            admitted += 1;
-        }
-        admitted
-    }
-
-    /// Pumps rotation turns until `ticket` resolves, then returns its
-    /// result. Other tenants' batches ahead in the rotation are admitted
-    /// along the way — the caller does the fleet's work in fair order.
+    /// Submits one batch into the tenant's lease and returns the receipt
+    /// plus every event of the tenant's stream that drained — exactly
+    /// what a private serving engine's batch submission returns.
+    /// Sequence numbers follow submission order.
     ///
     /// # Errors
     ///
-    /// The admission error the ticket resolved to, verbatim.
+    /// The policy or routing error of the all-or-nothing pre-flight; the
+    /// tenant's state is untouched (no sequence numbers consumed).
     ///
     /// # Panics
     ///
-    /// Panics if `ticket` is not pending anywhere and never resolves
-    /// (e.g. a ticket already taken).
-    pub fn pump_until(&mut self, ticket: u64) -> Result<AdmitReceipt, CodicError> {
-        loop {
-            if let Some(result) = self.tickets.remove(ticket) {
-                return result;
-            }
-            assert!(
-                self.has_pending(),
-                "ticket {ticket} is not pending and never resolved"
-            );
-            self.pump_turn();
-        }
-    }
-
-    /// Pumps rotation turns until every queued batch everywhere is
-    /// admitted; returns the total admitted.
-    pub fn pump(&mut self) -> usize {
-        let mut total = 0;
-        while self.has_pending() {
-            total += self.pump_turn();
-        }
-        total
-    }
-
-    /// The private serving engine's submission discipline, confined to
-    /// the tenant's lease: all-or-nothing routed submission, quota
-    /// backpressure stepping only this tenant's shards, health check at
-    /// the batch boundary, then a non-blocking drain. Because every
-    /// clock this touches belongs to the tenant's own slot, admission
-    /// order across tenants cannot perturb any tenant's device timeline.
-    fn admit(
-        pool: &mut DevicePool,
-        tenant: &mut Tenant,
+    /// Panics on a stale [`TenantId`].
+    pub fn submit(
+        &mut self,
+        id: TenantId,
         ops: &[CodicOp],
-    ) -> Result<AdmitReceipt, CodicError> {
-        let routed = tenant
-            .lease
-            .submit_all_async_routed(pool.devices_mut(), ops)?;
-        let seq_base = tenant.next_seq;
-        for (local, future) in routed {
-            tenant
-                .inflight
-                .push((tenant.next_seq, local as u16, future));
-            tenant.next_seq += 1;
-        }
-        while tenant.lease.outstanding(pool.devices()) > tenant.quota {
-            if !tenant.lease.step(pool.devices_mut()) {
-                break;
-            }
-        }
-        tenant.lease.check_health(pool.devices_mut());
-        tenant.admitted += 1;
-        Self::drain(tenant);
-        Ok(AdmitReceipt {
-            seq_base,
-            accepted: ops.len() as u32,
-        })
-    }
-
-    /// Moves every resolved in-flight future into the tenant's event
-    /// buffer, ordered by `(finish_cycle, seq)` — the same emission
-    /// order a private serving engine produces.
-    fn drain(tenant: &mut Tenant) {
-        let mut ready = Vec::new();
-        tenant.scratch.clear();
-        for (seq, shard, mut future) in tenant.inflight.drain(..) {
-            match future.try_take() {
-                Some(completion) => ready.push(FleetEvent {
-                    seq,
-                    shard,
-                    completion,
-                }),
-                None => tenant.scratch.push((seq, shard, future)),
-            }
-        }
-        std::mem::swap(&mut tenant.inflight, &mut tenant.scratch);
-        ready.sort_by_key(|e| (e.completion.finish_cycle, e.seq));
-        tenant.events.extend(ready);
+    ) -> Result<(AdmitReceipt, Vec<ServedOp>), CodicError> {
+        let (tenant, devices) = self.tenant_mut(id);
+        tenant.admit(devices, ops)
     }
 
     /// Flushes the tenancy: runs its lease to idle, applies the health
     /// policy, drains every event. Returns the slowest leased shard's
-    /// cycle. Other tenants' clocks don't move.
-    pub fn flush(&mut self, id: TenantId) -> u64 {
-        let slot = self.checked_slot(id);
-        let Slot::Held(tenant) = &mut self.slots[slot] else {
-            unreachable!("checked_slot verified occupancy")
-        };
-        tenant.lease.run_to_idle(self.pool.devices_mut());
-        tenant.lease.check_health(self.pool.devices_mut());
-        Self::drain(tenant);
-        tenant.lease.now_max(self.pool.devices())
-    }
-
-    /// Takes the tenant's buffered events (emission order).
-    pub fn take_events(&mut self, id: TenantId) -> Vec<FleetEvent> {
-        std::mem::take(&mut self.tenant_mut(id).events)
+    /// cycle and the drained events. Other tenants' clocks don't move.
+    pub fn flush(&mut self, id: TenantId) -> (u64, Vec<ServedOp>) {
+        let (tenant, devices) = self.tenant_mut(id);
+        tenant.lease.run_to_idle(devices);
+        tenant.lease.check_health(devices);
+        (tenant.lease.now_max(devices), tenant.drain())
     }
 
     /// Operations admitted but not yet completed on the tenant's lease.
     #[must_use]
     pub fn outstanding(&self, id: TenantId) -> usize {
-        self.tenant(id).lease.outstanding(self.pool.devices())
+        self.tenant(id).lease.outstanding(&self.devices)
     }
 
     /// The slowest shard cycle on the tenant's lease.
     #[must_use]
     pub fn now_max(&self, id: TenantId) -> u64 {
-        self.tenant(id).lease.now_max(self.pool.devices())
+        self.tenant(id).lease.now_max(&self.devices)
     }
 
     /// The tenant's per-shard health, lease-local indices.
@@ -567,36 +416,11 @@ impl SharedFleet {
     pub fn health(&self, id: TenantId) -> &[ShardHealth] {
         self.tenant(id).lease.health()
     }
-
-    /// Next sequence number of the tenant's stream.
-    #[must_use]
-    pub fn next_seq(&self, id: TenantId) -> u64 {
-        self.tenant(id).next_seq
-    }
-
-    /// The tenant's current deficit-round-robin credit, in ops.
-    #[must_use]
-    pub fn deficit(&self, id: TenantId) -> u64 {
-        self.tenant(id).deficit
-    }
-
-    /// Batches admitted over the tenancy so far.
-    #[must_use]
-    pub fn admitted_batches(&self, id: TenantId) -> u64 {
-        self.tenant(id).admitted
-    }
-
-    /// Batches queued but not yet admitted.
-    #[must_use]
-    pub fn pending_batches(&self, id: TenantId) -> usize {
-        self.tenant(id).pending.len()
-    }
 }
 
 /// Cloneable, thread-safe handle to a [`SharedFleet`] — the form the
-/// server's one-thread-per-session model consumes. All methods lock the
-/// fleet for their duration; [`FleetHandle::submit`] additionally pumps
-/// the round-robin until its own ticket resolves.
+/// server's one-thread-per-session model consumes. Every method locks
+/// the fleet for its duration.
 #[derive(Clone)]
 pub struct FleetHandle {
     inner: Arc<Mutex<SharedFleet>>,
@@ -636,9 +460,13 @@ impl FleetHandle {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// See [`SharedFleet::acquire_with`].
+    /// Acquires a slot with outstanding-op `quota` (see
+    /// [`SharedFleet::acquire_with`]). `weight` has no effect: admission
+    /// is direct, with no cross-tenant scheduler to weigh. It stays in
+    /// the signature only because existing callers still pass it.
     pub fn acquire_with(&self, weight: u32, quota: usize) -> Option<TenantId> {
-        self.lock().acquire_with(weight, quota)
+        let _ = weight;
+        self.lock().acquire_with(quota)
     }
 
     /// See [`SharedFleet::release`].
@@ -646,32 +474,22 @@ impl FleetHandle {
         self.lock().release(id);
     }
 
-    /// Enqueues the batch, pumps the fair rotation until it is admitted,
-    /// and returns the receipt plus every event of this tenant's stream
-    /// that became ready — exactly what a private serving engine's
-    /// batch submission returns.
+    /// See [`SharedFleet::submit`].
     ///
     /// # Errors
     ///
-    /// The admission error, with the tenant's state untouched (buffered
-    /// events stay buffered, like a private engine's failed submission).
+    /// As [`SharedFleet::submit`].
     pub fn submit(
         &self,
         id: TenantId,
         ops: &[CodicOp],
-    ) -> Result<(AdmitReceipt, Vec<FleetEvent>), CodicError> {
-        let mut fleet = self.lock();
-        let ticket = fleet.enqueue(id, ops);
-        let receipt = fleet.pump_until(ticket)?;
-        Ok((receipt, fleet.take_events(id)))
+    ) -> Result<(AdmitReceipt, Vec<ServedOp>), CodicError> {
+        self.lock().submit(id, ops)
     }
 
-    /// Flushes the tenancy; returns the slowest leased shard's cycle and
-    /// the drained events (see [`SharedFleet::flush`]).
-    pub fn flush(&self, id: TenantId) -> (u64, Vec<FleetEvent>) {
-        let mut fleet = self.lock();
-        let now = fleet.flush(id);
-        (now, fleet.take_events(id))
+    /// See [`SharedFleet::flush`].
+    pub fn flush(&self, id: TenantId) -> (u64, Vec<ServedOp>) {
+        self.lock().flush(id)
     }
 
     /// See [`SharedFleet::outstanding`].
@@ -755,7 +573,7 @@ mod tests {
         let a = fleet.acquire().expect("slot");
         fleet.release(a);
         let _b = fleet.acquire().expect("recycled");
-        fleet.enqueue(a, &zero_ops(1)); // stale: a's epoch is gone
+        let _ = fleet.submit(a, &zero_ops(1)); // stale: a's epoch is gone
     }
 
     #[test]
@@ -789,8 +607,7 @@ mod tests {
         let mut fleet = SharedFleet::new(FleetConfig::new(1, 2, device_config()).with_quota(8));
         let t = fleet.acquire().expect("slot");
         for chunk in zero_ops(64).chunks(16) {
-            let ticket = fleet.enqueue(t, chunk);
-            fleet.pump_until(ticket).expect("admit");
+            fleet.submit(t, chunk).expect("admit");
             assert!(
                 fleet.outstanding(t) <= 8,
                 "quota bounds outstanding ops after every admission step"
@@ -829,92 +646,6 @@ mod tests {
         }
         assert!(solo_failures > 0, "the misfire plan must actually fire");
         fleet.release(b);
-    }
-
-    #[test]
-    fn drr_serves_every_pending_tenant_within_one_rotation() {
-        let mut fleet = SharedFleet::new(FleetConfig::new(3, 1, device_config()).with_quantum(64));
-        let tenants: Vec<TenantId> = (0..3).map(|_| fleet.acquire().expect("slot")).collect();
-        // Tenant 0 floods; tenants 1 and 2 each queue one batch.
-        for chunk in zero_ops(64 * 8).chunks(64) {
-            fleet.enqueue(tenants[0], chunk);
-        }
-        let t1 = fleet.enqueue(tenants[1], &zero_ops(32));
-        let t2 = fleet.enqueue(tenants[2], &zero_ops(32));
-        // One full rotation (slots() turns) must admit every tenant's
-        // front batch: the quantum covers the largest batch cost.
-        for _ in 0..fleet.slots() {
-            fleet.pump_turn();
-        }
-        assert!(
-            fleet.take_ticket(t1).is_some(),
-            "tenant 1 served in one rotation"
-        );
-        assert!(
-            fleet.take_ticket(t2).is_some(),
-            "tenant 2 served in one rotation"
-        );
-        assert!(fleet.has_pending(), "the flood is still queued");
-        fleet.pump();
-        for t in tenants {
-            fleet.flush(t);
-            fleet.release(t);
-        }
-    }
-
-    #[test]
-    fn weights_scale_admission_credit() {
-        let mut fleet = SharedFleet::new(
-            FleetConfig::new(2, 1, device_config())
-                .with_quantum(32)
-                .with_quota(4096),
-        );
-        let heavy = fleet.acquire_with(4, 4096).expect("heavy");
-        let light = fleet.acquire_with(1, 4096).expect("light");
-        for chunk in zero_ops(32 * 40).chunks(32) {
-            fleet.enqueue(heavy, chunk);
-        }
-        for chunk in zero_ops(32 * 40).chunks(32) {
-            fleet.enqueue(light, chunk);
-        }
-        // Four rotations: weight-4 earns 4 admissions per visit to
-        // weight-1's single admission.
-        for _ in 0..4 * fleet.slots() {
-            fleet.pump_turn();
-        }
-        assert_eq!(fleet.admitted_batches(heavy), 16);
-        assert_eq!(fleet.admitted_batches(light), 4);
-        fleet.pump();
-        for t in [heavy, light] {
-            fleet.flush(t);
-            fleet.release(t);
-        }
-    }
-
-    #[test]
-    fn idle_tenants_forfeit_deficit() {
-        let mut fleet = SharedFleet::new(FleetConfig::new(1, 1, device_config()).with_quantum(16));
-        let t = fleet.acquire().expect("slot");
-        let ticket = fleet.enqueue(t, &zero_ops(8));
-        fleet.pump_until(ticket).expect("admit");
-        assert!(fleet.deficit(t) > 0, "leftover credit after admission");
-        fleet.pump_turn(); // visit with an empty queue
-        assert_eq!(fleet.deficit(t), 0, "idle visit resets the deficit");
-        fleet.flush(t);
-        fleet.release(t);
-    }
-
-    #[test]
-    fn released_tenants_reject_their_queued_batches() {
-        let mut fleet = SharedFleet::new(FleetConfig::new(1, 1, device_config()));
-        let t = fleet.acquire().expect("slot");
-        let ticket = fleet.enqueue(t, &zero_ops(4));
-        fleet.release(t);
-        assert_eq!(
-            fleet.take_ticket(ticket),
-            Some(Err(CodicError::NoHealthyShards)),
-            "a released tenant's pending batches resolve as rejections"
-        );
     }
 
     #[test]

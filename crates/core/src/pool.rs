@@ -62,7 +62,7 @@ use rayon::prelude::*;
 use crate::device::{BatchOutcome, CodicDevice, DeviceConfig, OpCompletion, OpToken, SweepReport};
 use crate::error::CodicError;
 use crate::executor::OpFuture;
-use crate::fault::{FaultCause, HealthPolicy};
+use crate::fault::{FaultCause, FaultStats, HealthPolicy};
 use crate::ops::CodicOp;
 
 /// One shard's health state, as tracked by the pool.
@@ -94,6 +94,31 @@ pub struct PoolToken {
     pub shard: usize,
     /// The device-level completion token.
     pub token: OpToken,
+}
+
+/// One served operation of a completion stream, as a lease or the shard
+/// workers emit it: the caller's sequence number, the shard that served
+/// it (lease-local), and the device completion, bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServedOp {
+    /// Stream sequence number (dense from 0, submission order).
+    pub seq: u64,
+    /// The shard that served the operation.
+    pub shard: u16,
+    /// The device-level completion.
+    pub completion: OpCompletion,
+}
+
+/// Builds lease-local shard `local` from `config`: the base fault plan,
+/// if any, is derived per shard ([`FaultPlan::for_shard`]), so every
+/// holder of `n` shards — private pool, fleet slot or worker set — runs
+/// the schedules a fresh `n`-shard pool runs.
+///
+/// [`FaultPlan::for_shard`]: crate::fault::FaultPlan::for_shard
+pub(crate) fn shard_device(config: &DeviceConfig, local: usize) -> CodicDevice {
+    let mut config = config.clone();
+    config.fault = config.fault.map(|plan| plan.for_shard(local));
+    CodicDevice::new(config)
 }
 
 /// Aggregate outcome of a pooled batch execution.
@@ -153,11 +178,12 @@ impl PoolOutcome {
 /// [`DevicePool`], and every routing, quarantine, and clock-driving
 /// decision consults only the lease's own health table. A `DevicePool`
 /// routes all of its own traffic through one whole-pool lease
-/// (`base = 0`), and the shared fleet
-/// ([`SharedFleet`](crate::fleet::SharedFleet)) carves one pool into
-/// disjoint per-tenant leases — the *same code path* either way, which
-/// is what makes a tenant's stream on a shared fleet bit-identical to a
-/// private pool's by construction rather than by re-implementation.
+/// (`base = 0`), the shared fleet
+/// ([`SharedFleet`](crate::fleet::SharedFleet)) carves one device array
+/// into disjoint per-tenant leases, and the shard workers route with a
+/// lease as their table — the *same code path* everywhere, which is what
+/// makes a tenant's stream on a shared fleet bit-identical to a private
+/// pool's by construction rather than by re-implementation.
 #[derive(Debug)]
 pub struct ShardLease {
     /// First backing shard in the owning pool.
@@ -228,6 +254,11 @@ impl ShardLease {
         self.health_policy = policy;
     }
 
+    /// True once every leased shard is quarantined.
+    pub(crate) fn all_quarantined(&self) -> bool {
+        self.healthy.is_empty()
+    }
+
     /// The lease-local shard that owns `op`'s row (see
     /// [`DevicePool::shard_of`] for the routing contract — identical
     /// here, computed over the lease's own shard count and health).
@@ -246,15 +277,6 @@ impl ShardLease {
         }
     }
 
-    /// Re-admits `local` to the routing table with a factory-fresh
-    /// health record (the pool resets the backing device).
-    fn mark_healthy(&mut self, local: usize) {
-        self.health[local] = ShardHealth::Healthy;
-        self.healthy = (0..self.health.len())
-            .filter(|&s| self.health[s].is_healthy())
-            .collect();
-    }
-
     /// Quarantines lease-local `shard` (see [`DevicePool::quarantine`]).
     /// `devices` is the owning pool's full device slice.
     pub(crate) fn quarantine(
@@ -271,11 +293,40 @@ impl ShardLease {
             device.run_to_idle();
         }
         let failed = device.fail_all_pending(cause);
+        self.mark_quarantined(shard, cause);
+        failed
+    }
+
+    /// Takes lease-local `shard` out of the routing table; its blocks
+    /// re-route over the survivors.
+    pub(crate) fn mark_quarantined(&mut self, shard: usize, cause: FaultCause) {
         self.health[shard] = ShardHealth::Quarantined { cause };
         self.healthy = (0..self.health.len())
             .filter(|&s| self.health[s].is_healthy())
             .collect();
-        failed
+    }
+
+    /// The health policy's verdict on lease-local `shard`, from what the
+    /// shard last reported: a stalled clock condemns it as
+    /// [`FaultCause::ClockStuck`], a delivered failure rate past the
+    /// threshold as [`FaultCause::Quarantined`]. An already-quarantined
+    /// shard gets no verdict. The inline pool and the shard workers both
+    /// judge their shards here.
+    pub(crate) fn verdict(
+        &self,
+        shard: usize,
+        stalled: bool,
+        stats: FaultStats,
+    ) -> Option<FaultCause> {
+        if !self.health[shard].is_healthy() {
+            None
+        } else if stalled {
+            Some(FaultCause::ClockStuck)
+        } else {
+            let breached = stats.delivered() >= self.health_policy.min_ops
+                && stats.failed_per_64k() > self.health_policy.max_failed_per_64k;
+            breached.then_some(FaultCause::Quarantined)
+        }
     }
 
     /// Applies the health policy to every healthy leased shard (see
@@ -283,19 +334,8 @@ impl ShardLease {
     pub(crate) fn check_health(&mut self, devices: &mut [CodicDevice]) -> usize {
         let mut condemned = 0;
         for shard in 0..self.health.len() {
-            if !self.health[shard].is_healthy() {
-                continue;
-            }
             let device = &devices[self.base + shard];
-            let cause = if device.is_stalled() {
-                Some(FaultCause::ClockStuck)
-            } else {
-                let stats = device.fault_stats();
-                let breached = stats.delivered() >= self.health_policy.min_ops
-                    && stats.failed_per_64k() > self.health_policy.max_failed_per_64k;
-                breached.then_some(FaultCause::Quarantined)
-            };
-            if let Some(cause) = cause {
+            if let Some(cause) = self.verdict(shard, device.is_stalled(), device.fault_stats()) {
                 self.quarantine(devices, shard, cause);
                 condemned += 1;
             }
@@ -468,11 +508,7 @@ impl DevicePool {
         assert!(shards > 0, "a pool needs at least one shard");
         DevicePool {
             devices: (0..shards)
-                .map(|shard| {
-                    let mut config = config.clone();
-                    config.fault = config.fault.map(|plan| plan.for_shard(shard));
-                    CodicDevice::new(config)
-                })
+                .map(|shard| shard_device(config, shard))
                 .collect(),
             lease: ShardLease::new(0, shards, config),
         }
@@ -542,31 +578,6 @@ impl DevicePool {
     #[must_use]
     pub fn device(&self, shard: usize) -> &CodicDevice {
         &self.devices[shard]
-    }
-
-    /// The pool's full device slice, for lease holders (the shared fleet)
-    /// that drive disjoint shard ranges through per-tenant
-    /// [`ShardLease`]s.
-    pub(crate) fn devices(&self) -> &[CodicDevice] {
-        &self.devices
-    }
-
-    /// Mutable access to the full device slice (see
-    /// [`DevicePool::devices`]).
-    pub(crate) fn devices_mut(&mut self) -> &mut [CodicDevice] {
-        &mut self.devices
-    }
-
-    /// Rebuilds `shard` from `config` exactly as given — **no** per-shard
-    /// fault derivation; callers that want one pass a `config.fault`
-    /// already derived — and re-admits it to the pool's own routing table
-    /// as healthy. The shared fleet uses this to hand each new tenant
-    /// factory-fresh devices whose fault schedules are seeded by
-    /// *lease-local* shard index, so a leased range behaves
-    /// bit-identically to a freshly built private pool of the same size.
-    pub(crate) fn reset_shard(&mut self, shard: usize, config: &DeviceConfig) {
-        self.devices[shard] = CodicDevice::new(config.clone());
-        self.lease.mark_healthy(shard);
     }
 
     /// Distributes a batch across the shards, all-or-nothing: every

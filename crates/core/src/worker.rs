@@ -40,15 +40,13 @@
 use std::collections::VecDeque;
 use std::thread::JoinHandle;
 
-use codic_dram::geometry::DramGeometry;
-
 use crate::device::{CodicDevice, DeviceConfig, OpCompletion};
 use crate::error::CodicError;
 use crate::executor::OpFuture;
 use crate::fault::{FaultCause, FaultStats, HealthPolicy};
 use crate::interface::CodicController;
 use crate::ops::CodicOp;
-use crate::pool::ShardHealth;
+use crate::pool::{shard_device, ServedOp, ShardHealth, ShardLease};
 use crate::spsc;
 
 /// Work items travelling coordinator → worker.
@@ -94,18 +92,6 @@ struct Reply {
     advanced: bool,
 }
 
-/// A completed operation drained from a worker, tagged with its seq
-/// number and the shard that executed it.
-#[derive(Debug, Clone, Copy)]
-pub struct DrainedOp {
-    /// The caller-assigned sequence number.
-    pub seq: u64,
-    /// The shard that executed the operation.
-    pub shard: u16,
-    /// The typed completion, bit-identical to the inline run.
-    pub completion: OpCompletion,
-}
-
 struct WorkerLink {
     tx: spsc::Sender<WorkItem>,
     rx: spsc::Receiver<Reply>,
@@ -135,16 +121,15 @@ pub struct ShardWorkers {
     status: Vec<WorkerStatus>,
     /// Completions produced outside a drain (quarantine fallout),
     /// delivered with the next [`ShardWorkers::drain_ready`].
-    stash: Vec<DrainedOp>,
-    health: Vec<ShardHealth>,
-    healthy: Vec<usize>,
-    health_policy: HealthPolicy,
+    stash: Vec<ServedOp>,
+    /// Routing and health state: the pool's own lease machinery, so the
+    /// block map, the quarantine re-route and the health rule are the
+    /// inline pool's, not a copy of them.
+    routes: ShardLease,
     /// Session-side policy twin for the all-or-nothing pre-flight —
     /// every shard runs the identical config, so one controller answers
     /// for all of them.
     policy: CodicController,
-    block_rows: u64,
-    compute_base: Option<u64>,
 }
 
 impl ShardWorkers {
@@ -161,9 +146,7 @@ impl ShardWorkers {
         assert!(shards > 0, "a worker pool needs at least one shard");
         let workers = (0..shards)
             .map(|shard| {
-                let mut config = config.clone();
-                config.fault = config.fault.map(|plan| plan.for_shard(shard));
-                let device = CodicDevice::new(config);
+                let device = shard_device(config, shard);
                 let (tx, work_rx) = spsc::channel::<WorkItem>(1024);
                 let (reply_tx, rx) = spsc::channel::<Reply>(4);
                 let thread = std::thread::Builder::new()
@@ -177,7 +160,6 @@ impl ShardWorkers {
                 }
             })
             .collect();
-        let compute_range = config.compute_range();
         ShardWorkers {
             workers,
             status: vec![
@@ -190,13 +172,9 @@ impl ShardWorkers {
                 shards
             ],
             stash: Vec::new(),
-            health: vec![ShardHealth::Healthy; shards],
-            healthy: (0..shards).collect(),
-            health_policy: HealthPolicy::default(),
+            routes: ShardLease::new(0, shards, config),
             policy: CodicController::new(config.safe_range.clone())
-                .with_compute_range(compute_range.clone()),
-            block_rows: u64::from(config.geometry.total_banks()).max(1),
-            compute_base: (!compute_range.is_empty()).then_some(compute_range.start),
+                .with_compute_range(config.compute_range()),
         }
     }
 
@@ -209,13 +187,13 @@ impl ShardWorkers {
     /// Per-shard health states, indexed by shard.
     #[must_use]
     pub fn health(&self) -> &[ShardHealth] {
-        &self.health
+        self.routes.health()
     }
 
     /// Replaces the self-quarantine policy (defaults to
     /// [`HealthPolicy::default`]).
     pub fn set_health_policy(&mut self, policy: HealthPolicy) {
-        self.health_policy = policy;
+        self.routes.set_health_policy(policy);
     }
 
     /// The shard that owns `op` — the same block-interleaved map, with
@@ -223,17 +201,7 @@ impl ShardWorkers {
     /// [`DevicePool::shard_of`](crate::pool::DevicePool::shard_of).
     #[must_use]
     pub fn shard_of(&self, op: CodicOp) -> usize {
-        let addr = match self.compute_base {
-            Some(base) if op.is_compute() => base,
-            _ => op.row_addr(),
-        };
-        let block = addr / DramGeometry::ROW_BYTES / self.block_rows;
-        let primary = (block % self.workers.len() as u64) as usize;
-        if self.health[primary].is_healthy() || self.healthy.is_empty() {
-            primary
-        } else {
-            self.healthy[(block % self.healthy.len() as u64) as usize]
-        }
+        self.routes.shard_of(op)
     }
 
     /// Routes and enqueues a batch, all-or-nothing: every operation is
@@ -247,7 +215,7 @@ impl ShardWorkers {
     /// Returns the first policy error without enqueuing anything, or
     /// [`CodicError::NoHealthyShards`] when every shard is quarantined.
     pub fn submit_batch(&mut self, seq_base: u64, ops: &[CodicOp]) -> Result<Vec<u16>, CodicError> {
-        if self.healthy.is_empty() && !ops.is_empty() {
+        if self.routes.all_quarantined() && !ops.is_empty() {
             return Err(CodicError::NoHealthyShards);
         }
         for &op in ops {
@@ -269,7 +237,7 @@ impl ShardWorkers {
     /// returns everything newly completed (stashed quarantine fallout
     /// included), unsorted — callers merge shards by sorting on
     /// `(finish_cycle, seq)`.
-    pub fn drain_ready(&mut self) -> Vec<DrainedOp> {
+    pub fn drain_ready(&mut self) -> Vec<ServedOp> {
         let replies = self.sync_all(|| WorkItem::Barrier);
         self.absorb(replies)
     }
@@ -286,7 +254,7 @@ impl ShardWorkers {
     /// Runs every shard to idle and drains — the worker-mode flush.
     /// Returns completions unsorted, like
     /// [`ShardWorkers::drain_ready`].
-    pub fn flush(&mut self) -> Vec<DrainedOp> {
+    pub fn flush(&mut self) -> Vec<ServedOp> {
         let replies = self.sync_all(|| WorkItem::RunToIdle);
         self.absorb(replies)
     }
@@ -299,18 +267,8 @@ impl ShardWorkers {
     pub fn check_health(&mut self) -> usize {
         let mut condemned = 0;
         for shard in 0..self.workers.len() {
-            if !self.health[shard].is_healthy() {
-                continue;
-            }
             let status = self.status[shard];
-            let cause = if status.stalled {
-                Some(FaultCause::ClockStuck)
-            } else {
-                let breached = status.stats.delivered() >= self.health_policy.min_ops
-                    && status.stats.failed_per_64k() > self.health_policy.max_failed_per_64k;
-                breached.then_some(FaultCause::Quarantined)
-            };
-            if let Some(cause) = cause {
+            if let Some(cause) = self.routes.verdict(shard, status.stalled, status.stats) {
                 self.quarantine(shard, cause);
                 condemned += 1;
             }
@@ -324,7 +282,7 @@ impl ShardWorkers {
     /// failures surface with the next drain. Quarantining an
     /// already-quarantined shard is a no-op returning 0.
     pub fn quarantine(&mut self, shard: usize, cause: FaultCause) -> usize {
-        if !self.health[shard].is_healthy() {
+        if !self.routes.health()[shard].is_healthy() {
             return 0;
         }
         self.workers[shard].send(WorkItem::Quarantine { cause });
@@ -332,12 +290,8 @@ impl ShardWorkers {
         self.status[shard] = reply.status;
         let failed = reply.ready.len();
         self.stash.extend(tag(shard, reply.ready));
-        let deferred = reply.deferred;
-        self.health[shard] = ShardHealth::Quarantined { cause };
-        self.healthy = (0..self.workers.len())
-            .filter(|&s| self.health[s].is_healthy())
-            .collect();
-        self.reroute_deferred(deferred);
+        self.routes.mark_quarantined(shard, cause);
+        self.reroute_deferred(reply.deferred);
         failed
     }
 
@@ -369,7 +323,7 @@ impl ShardWorkers {
     }
 
     /// Folds a round of replies into the stash-inclusive drain result.
-    fn absorb(&mut self, replies: Vec<Reply>) -> Vec<DrainedOp> {
+    fn absorb(&mut self, replies: Vec<Reply>) -> Vec<ServedOp> {
         let mut out = std::mem::take(&mut self.stash);
         let mut deferred = Vec::new();
         for (shard, reply) in replies.into_iter().enumerate() {
@@ -391,11 +345,11 @@ impl ShardWorkers {
             return;
         }
         for shard in 0..self.workers.len() {
-            if self.health[shard].is_healthy() && self.status[shard].stalled {
+            if self.status[shard].stalled {
                 self.quarantine(shard, FaultCause::ClockStuck);
             }
         }
-        if self.healthy.is_empty() {
+        if self.routes.all_quarantined() {
             return;
         }
         for (seq, op) in deferred {
@@ -421,8 +375,8 @@ impl Drop for ShardWorkers {
 }
 
 /// Tags a worker's drained `(seq, completion)` pairs with its shard.
-fn tag(shard: usize, ready: Vec<(u64, OpCompletion)>) -> impl Iterator<Item = DrainedOp> {
-    ready.into_iter().map(move |(seq, completion)| DrainedOp {
+fn tag(shard: usize, ready: Vec<(u64, OpCompletion)>) -> impl Iterator<Item = ServedOp> {
+    ready.into_iter().map(move |(seq, completion)| ServedOp {
         seq,
         shard: shard as u16,
         completion,
@@ -523,6 +477,7 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codic_dram::geometry::DramGeometry;
     use codic_dram::timing::TimingParams;
 
     use crate::fault::{FaultPlan, RetryPolicy};
@@ -550,7 +505,7 @@ mod tests {
 
     /// The inline reference: same batches through `DevicePool`, futures
     /// tracked per seq, drained at the end.
-    fn inline_reference(shards: usize, config: &DeviceConfig, ops: &[CodicOp]) -> Vec<DrainedOp> {
+    fn inline_reference(shards: usize, config: &DeviceConfig, ops: &[CodicOp]) -> Vec<ServedOp> {
         let mut pool = DevicePool::new(shards, config);
         let mut pending = Vec::new();
         for (chunk_index, chunk) in ops.chunks(64).enumerate() {
@@ -562,7 +517,7 @@ mod tests {
         pool.drive();
         pending
             .into_iter()
-            .map(|(seq, shard, mut future)| DrainedOp {
+            .map(|(seq, shard, mut future)| ServedOp {
                 seq,
                 shard,
                 completion: future.try_take().expect("driven to idle"),
@@ -570,7 +525,7 @@ mod tests {
             .collect()
     }
 
-    fn worker_run(shards: usize, config: &DeviceConfig, ops: &[CodicOp]) -> Vec<DrainedOp> {
+    fn worker_run(shards: usize, config: &DeviceConfig, ops: &[CodicOp]) -> Vec<ServedOp> {
         let mut workers = ShardWorkers::launch(shards, config);
         let mut seq = 0u64;
         let mut out = Vec::new();
@@ -583,7 +538,7 @@ mod tests {
         out
     }
 
-    fn sorted(mut ops: Vec<DrainedOp>) -> Vec<DrainedOp> {
+    fn sorted(mut ops: Vec<ServedOp>) -> Vec<ServedOp> {
         ops.sort_by_key(|d| d.seq);
         ops
     }

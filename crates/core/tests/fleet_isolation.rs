@@ -1,25 +1,28 @@
 //! The tenant-isolation pin: property tests asserting that a tenant's
-//! demultiplexed event stream on a [`SharedFleet`] is **bit-identical**
-//! to a solo run of the same operations on an equivalent private
-//! [`DevicePool`] — sequence numbers, lease-local shards, finish
-//! cycles, busy cycles, energy bits, outcomes, attempts, fingerprints —
-//! for random tenant mixes, batch splits, quotas, and interleavings,
-//! fault-free and under seeded misfire/stuck-clock injection.
+//! event stream on a [`SharedFleet`] is **bit-identical** to a solo run
+//! of the same operations on an equivalent private [`DevicePool`] —
+//! sequence numbers, lease-local shards, finish cycles, busy cycles,
+//! energy bits, outcomes, attempts, fingerprints — for random tenant
+//! mixes, batch splits, quotas, and interleavings, fault-free and under
+//! seeded misfire/stuck-clock injection.
 //!
 //! The solo reference is not the fleet run twice: it is the serving
-//! layer's private-pool engine discipline written out by hand (routed
-//! async submission, step-at-a-time quota backpressure, a health check
-//! at every batch boundary, `(finish_cycle, seq)` drain order), run on
-//! a `DevicePool` of the tenant's slot shape. If the fleet's carving,
-//! scheduling, or fault seeding leaked any cross-tenant state, these
-//! streams would diverge.
+//! discipline written out by hand (routed async submission,
+//! step-at-a-time quota backpressure, a health check at every batch
+//! boundary, `(finish_cycle, seq)` drain order), run on a `DevicePool`
+//! of the tenant's slot shape. Every non-worker session is served as a
+//! fleet tenant — a private session is the one tenant of a one-slot
+//! fleet, the one-tenant case here — so this reference pins private and
+//! shared serving alike. If the fleet's carving, slot recycling, or
+//! fault seeding leaked any cross-tenant state, these streams would
+//! diverge.
 
 use codic_core::device::{DeviceConfig, OpCompletion};
 use codic_core::executor::OpFuture;
 use codic_core::fault::{FaultPlan, RetryPolicy};
-use codic_core::fleet::{FleetConfig, FleetEvent, SharedFleet};
+use codic_core::fleet::{FleetConfig, SharedFleet};
 use codic_core::ops::{CodicOp, VariantId};
-use codic_core::pool::DevicePool;
+use codic_core::pool::{DevicePool, ServedOp};
 use codic_dram::geometry::DramGeometry;
 use codic_dram::timing::TimingParams;
 use proptest::prelude::*;
@@ -67,15 +70,16 @@ fn key(seq: u64, shard: u16, c: &OpCompletion) -> Emitted {
     )
 }
 
-fn emitted(events: &[FleetEvent]) -> Vec<Emitted> {
+fn emitted(events: &[ServedOp]) -> Vec<Emitted> {
     events
         .iter()
         .map(|e| key(e.seq, e.shard, &e.completion))
         .collect()
 }
 
-/// The private-pool serving engine, reduced to its core calls — the
-/// reference every tenant stream must match bit for bit.
+/// The serving discipline, reduced to its core calls on a private
+/// `DevicePool` — the reference every tenant stream must match bit for
+/// bit.
 fn solo_run(
     shards: usize,
     config: &DeviceConfig,
@@ -134,28 +138,43 @@ struct TenantLoad {
     quota: usize,
 }
 
-/// Runs every tenant's workload on one shared fleet, admitting batches
+/// Runs every tenant's workload on one shared fleet, submitting batches
 /// in the interleaving `order` dictates (each entry picks the next
 /// unsubmitted batch of tenant `order[i] % tenants`; leftovers drain
 /// round-robin), and returns each tenant's collected stream.
 ///
 /// `check_quota` additionally asserts the tenant's outstanding-op bound
-/// after every admission — sound whenever no clock can wedge.
+/// after every submission — sound whenever no clock can wedge.
+/// `recycled` first lets a throwaway tenant in every slot serve traffic
+/// and leave, so the measured tenants get rebuilt slots instead of the
+/// devices built with the fleet.
 fn fleet_run(
     tenants: &[TenantLoad],
     shards_per_slot: usize,
     device: &DeviceConfig,
     order: &[u8],
     check_quota: bool,
+    recycled: bool,
 ) -> Vec<Vec<Emitted>> {
     let mut fleet = SharedFleet::new(FleetConfig::new(
         tenants.len(),
         shards_per_slot,
         device.clone(),
     ));
+    if recycled {
+        let previous: Vec<_> = tenants
+            .iter()
+            .map(|t| fleet.acquire_with(t.quota).expect("free slot"))
+            .collect();
+        for (id, load) in previous.iter().zip(tenants) {
+            fleet.submit(*id, &load.ops).expect("in range");
+            fleet.flush(*id);
+            fleet.release(*id);
+        }
+    }
     let ids: Vec<_> = tenants
         .iter()
-        .map(|t| fleet.acquire_with(1, t.quota).expect("free slot"))
+        .map(|t| fleet.acquire_with(t.quota).expect("free slot"))
         .collect();
     let mut cursors = vec![0usize; tenants.len()];
     let mut streams: Vec<Vec<Emitted>> = tenants.iter().map(|_| Vec::new()).collect();
@@ -167,16 +186,15 @@ fn fleet_run(
         let end = (cursors[t] + load.batch).min(load.ops.len());
         let chunk = &load.ops[cursors[t]..end];
         cursors[t] = end;
-        let ticket = fleet.enqueue(ids[t], chunk);
-        let receipt = fleet.pump_until(ticket).expect("in range");
+        let (receipt, events) = fleet.submit(ids[t], chunk).expect("in range");
         assert_eq!(receipt.accepted as usize, chunk.len());
         if check_quota {
             assert!(
                 fleet.outstanding(ids[t]) <= load.quota,
-                "tenant {t} quota violated after admission"
+                "tenant {t} quota violated after submission"
             );
         }
-        streams[t].extend(emitted(&fleet.take_events(ids[t])));
+        streams[t].extend(emitted(&events));
         true
     };
     for &pick in order {
@@ -193,8 +211,8 @@ fn fleet_run(
         }
     }
     for (t, &id) in ids.iter().enumerate() {
-        fleet.flush(id);
-        streams[t].extend(emitted(&fleet.take_events(id)));
+        let (_, events) = fleet.flush(id);
+        streams[t].extend(emitted(&events));
         if check_quota {
             assert_eq!(fleet.outstanding(id), 0, "flush drains tenant {t}");
         }
@@ -231,7 +249,7 @@ proptest! {
     /// Fault-free isolation pin: for 1–3 tenants with independent
     /// workloads, batch splits, and quotas, admitted in a random
     /// interleaving, every tenant's stream is bit-identical to its solo
-    /// run — and its quota holds after every admission step.
+    /// run — and its quota holds after every submission.
     #[test]
     fn tenant_streams_are_bit_identical_to_solo_runs(
         raw in proptest::collection::vec(tenant_load_strategy(80), 1..4),
@@ -240,7 +258,7 @@ proptest! {
     ) {
         let tenants = loads(&raw);
         let device = device_config(None, RetryPolicy::default());
-        let streams = fleet_run(&tenants, shards_per_slot, &device, &order, true);
+        let streams = fleet_run(&tenants, shards_per_slot, &device, &order, true, false);
         for (t, load) in tenants.iter().enumerate() {
             let solo = solo_run(shards_per_slot, &device, &load.ops, load.batch, load.quota);
             prop_assert_eq!(solo.len(), load.ops.len());
@@ -254,7 +272,10 @@ proptest! {
     /// The same pin under seeded misfire injection with retry: derived
     /// per-shard fault schedules, attempt counts, and typed failures
     /// must be seeded by *lease-local* shard index, or a tenant's slot
-    /// position in the fleet would leak into its failure stream.
+    /// position in the fleet would leak into its failure stream. A
+    /// slot's first tenancy (devices built with the fleet) and a
+    /// recycled one (devices rebuilt after a previous tenant) must serve
+    /// the same stream, or the fleet would leak its history.
     #[test]
     fn faulted_tenant_streams_match_their_solo_runs(
         raw in proptest::collection::vec(tenant_load_strategy(60), 1..4),
@@ -268,7 +289,9 @@ proptest! {
         let plan = FaultPlan::new(seed).with_misfires(per_64k);
         let retry = RetryPolicy::attempts(attempts).with_backoff(16, 256);
         let device = device_config(Some(plan), retry);
-        let streams = fleet_run(&tenants, shards_per_slot, &device, &order, true);
+        let streams = fleet_run(&tenants, shards_per_slot, &device, &order, true, false);
+        let recycled = fleet_run(&tenants, shards_per_slot, &device, &order, true, true);
+        prop_assert_eq!(&recycled, &streams, "a recycled slot served a different stream");
         for (t, load) in tenants.iter().enumerate() {
             let solo = solo_run(shards_per_slot, &device, &load.ops, load.batch, load.quota);
             prop_assert_eq!(
@@ -295,7 +318,7 @@ proptest! {
         let plan = FaultPlan::new(seed).with_stuck_shard(0, stuck_cycle);
         let device = device_config(Some(plan), RetryPolicy::default());
         // Two shards per slot so the survivor can absorb re-routes.
-        let streams = fleet_run(&tenants, 2, &device, &order, false);
+        let streams = fleet_run(&tenants, 2, &device, &order, false, false);
         for (t, load) in tenants.iter().enumerate() {
             let solo = solo_run(2, &device, &load.ops, load.batch, load.quota);
             prop_assert_eq!(

@@ -134,7 +134,7 @@ fn worker_run(
     let mut workers = ShardWorkers::launch(shards, config);
     let mut next_seq = 0u64;
     let mut emitted = Vec::with_capacity(ops.len());
-    let merge = |mut drained: Vec<codic_core::worker::DrainedOp>| {
+    let merge = |mut drained: Vec<codic_core::pool::ServedOp>| {
         drained.sort_by_key(|d| (d.completion.finish_cycle, d.seq));
         drained
             .into_iter()

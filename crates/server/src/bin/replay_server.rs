@@ -1,7 +1,7 @@
 //! `replay-server`: the long-running trace-replay service.
 //!
 //! Binds a Unix socket and serves each connection as an independent
-//! replay session over its own sharded device pool (wire format:
+//! replay session on its own one-slot device fleet (wire format:
 //! `docs/PROTOCOL.md`; architecture: `docs/ARCHITECTURE.md`).
 //!
 //! ```text
@@ -21,9 +21,9 @@
 //! beside the Unix socket; the protocol is identical over both.
 //!
 //! `--fleet-slots N` serves every session from one shared device fleet
-//! carved into N tenant leases of `--shards` shards each, with
-//! deficit-round-robin admission across tenants; each session's stream
-//! stays bit-identical to a private pool of its slot shape.
+//! carved into N tenant leases of `--shards` shards each; each session's
+//! batches go straight into its own lease, and its stream stays
+//! bit-identical to a private pool of its slot shape.
 //! Incompatible with `--workers`.
 //!
 //! The deadline flags tune session robustness: `--read-timeout-ms` is
@@ -34,7 +34,7 @@
 //! session's resume journal.
 //!
 //! `--workers` serves every session through pipelined shard workers
-//! (one thread per shard behind SPSC rings) instead of the inline pool;
+//! (one thread per shard behind SPSC rings) instead of a fleet lease;
 //! the completion stream is bit-identical, the host throughput higher.
 //!
 //! `--compute-rows C` reserves the top C rows of every session's module

@@ -1,13 +1,15 @@
-//! Trace-replay serving layer over the CODIC device pool.
+//! Trace-replay serving layer over the CODIC device fleet.
 //!
 //! This crate turns the repository from a library into a running
-//! service: a long-lived `replay-server` accepts Unix-socket
+//! service: a long-lived `replay-server` accepts Unix-socket and TCP
 //! connections, decodes framed trace batches (secure-deallocation /
 //! cold-boot row operations plus ordinary read/write traffic) into
-//! typed [`CodicOp`](codic_core::ops::CodicOp)s, submits them through
-//! [`DevicePool::submit_all_async`](codic_core::pool::DevicePool::submit_all_async),
-//! drives the shard clocks, and streams typed completions (finish
-//! cycle plus accounted energy) back per connection; `replay-client`
+//! typed [`CodicOp`](codic_core::ops::CodicOp)s, submits them into the
+//! session's tenant lease on a
+//! [`SharedFleet`](codic_core::fleet::SharedFleet) (or its pipelined
+//! shard workers), drives the shard clocks, and streams typed
+//! completions (finish cycle plus accounted energy) back per
+//! connection; `replay-client`
 //! plays a trace file and verifies the completion stream bit-for-bit
 //! against an in-process reference replay.
 //!

@@ -1,21 +1,24 @@
-//! The replay server: Unix-socket sessions served over a sharded
-//! [`DevicePool`].
+//! The replay server: Unix-socket and TCP sessions, each served as a
+//! tenant lease on a device fleet.
 //!
-//! Each connection is one independent session with its own pool (its own
-//! shard clocks, mode registers, and policy state), served on its own
-//! thread. The per-session serving loop is [`ReplayEngine`]:
+//! Each connection is one independent session, served on its own
+//! thread. By default a session gets a private one-slot
+//! [`SharedFleet`](codic_core::fleet::SharedFleet) (its own shard
+//! clocks, mode registers, and policy state) and leases its only slot;
+//! with [`ServerConfig::fleet_slots`] every session leases a slot of one
+//! fleet shared by the whole server. The per-session serving loop is
+//! [`ReplayEngine`], and inside the lease it runs one discipline:
 //!
-//! 1. a decoded [`Frame::Batch`] is submitted
-//!    through [`DevicePool::submit_all_async`] (all-or-nothing policy:
-//!    a rejected batch turns into one `Error` frame and touches nothing);
-//! 2. backpressure: while [`DevicePool::outstanding`] exceeds the
-//!    session's `max_outstanding`, the engine relieves pressure with
-//!    [`DevicePool::step`] (one event per busy shard), never by blocking
-//!    the socket;
-//! 3. resolved [`OpFuture`]s are drained non-blockingly
-//!    ([`OpFuture::try_take`]) and streamed back as typed `Completion`
-//!    frames in completion order (ascending finish cycle at each drain
-//!    point, ties broken by submission sequence).
+//! 1. a decoded [`Frame::Batch`] is submitted all-or-nothing through
+//!    [`FleetHandle::submit`] (a rejected batch turns into one `Error`
+//!    frame and touches nothing);
+//! 2. backpressure: while the lease's outstanding ops exceed the
+//!    session's `max_outstanding`, the lease's shards are stepped one
+//!    event at a time, never by blocking the socket;
+//! 3. a health check at the batch boundary, then the resolved
+//!    completions are drained non-blockingly and streamed back packed
+//!    into `Events` frames in completion order (ascending finish cycle
+//!    at each drain point, ties broken by submission sequence).
 //!
 //! Determinism contract: the engine's DRAM timeline is a pure function
 //! of the submission sequence (batch boundaries included). With
@@ -30,9 +33,12 @@
 //!
 //! [`ServerConfig::workers`] preserves that contract bit for bit: it
 //! runs the engine over pipelined [`ShardWorkers`] (one thread per shard
-//! behind SPSC rings, drained at the same loop points). Completions ship
-//! packed into `Events` frames; only their *payload* bytes feed the
-//! session checksum, so it does not depend on the frame boundaries.
+//! behind SPSC rings, drained at the same loop points). Only the event
+//! *payload* bytes feed the session checksum, so it does not depend on
+//! the frame boundaries.
+//!
+//! [`DevicePool::submit_all_async`]: codic_core::pool::DevicePool::submit_all_async
+//! [`DevicePool::drive`]: codic_core::pool::DevicePool::drive
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -47,12 +53,11 @@ use std::time::{Duration, Instant};
 
 use codic_core::device::DeviceConfig;
 use codic_core::error::CodicError;
-use codic_core::executor::OpFuture;
 use codic_core::fault::{FaultPlan, HealthPolicy, RetryPolicy};
 use codic_core::fleet::{FleetConfig, FleetHandle, TenantId};
 use codic_core::ops::CodicOp;
-use codic_core::pool::{DevicePool, ShardHealth};
-use codic_core::worker::{DrainedOp, ShardWorkers};
+use codic_core::pool::{ServedOp, ShardHealth};
+use codic_core::worker::ShardWorkers;
 use codic_dram::{DramGeometry, TimingParams};
 
 use crate::governor::RateGovernor;
@@ -87,10 +92,9 @@ pub struct ServerConfig {
     /// module (0 = compute disabled; a `Hello` may request its own).
     pub compute_rows: u64,
     /// Serve sessions through pipelined [`ShardWorkers`] (one thread
-    /// per shard, fed by SPSC rings) instead of the inline
-    /// [`DevicePool`]. The completion stream is bit-identical either
-    /// way; worker mode overlaps decode, engine stepping, and encoding
-    /// across cores.
+    /// per shard, fed by SPSC rings) instead of a one-slot fleet lease.
+    /// The completion stream is bit-identical either way; worker mode
+    /// overlaps decode, engine stepping, and encoding across cores.
     pub workers: bool,
     /// Socket read timeout in milliseconds: how long a session thread
     /// parks inside a read before re-checking the shutdown flag and the
@@ -107,11 +111,12 @@ pub struct ServerConfig {
     /// the oldest whole events first. A `Resume` pointing before the
     /// retained window is honestly rejected (`--journal-max-kib`).
     pub journal_max_bytes: usize,
-    /// Tenant slots in the shared fleet (`--fleet-slots`; 0 = private
-    /// pools, the default). With `N > 0` every session is served from
-    /// one [`SharedFleet`](codic_core::fleet::SharedFleet) carved into
-    /// `N` leases of [`ServerConfig::shards`] shards each: sessions
-    /// share the pool's machinery but each tenant's event stream stays
+    /// Tenant slots in the shared fleet (`--fleet-slots`; 0 = a private
+    /// one-slot fleet per session, the default). With `N > 0` every
+    /// session is served from one
+    /// [`SharedFleet`](codic_core::fleet::SharedFleet) carved into `N`
+    /// leases of [`ServerConfig::shards`] shards each: sessions share
+    /// the device array but each tenant's event stream stays
     /// bit-identical to a private pool of its slot shape. Fleet mode is
     /// incompatible with [`ServerConfig::workers`] (the fleet *is* the
     /// serving substrate).
@@ -219,7 +224,7 @@ impl ServerConfig {
 }
 
 /// One finished operation with its session metadata — the in-process
-/// twin of the wire's `Completion` frame.
+/// twin of one completion or failure unit of the wire's `Events` frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplayCompletion {
     /// Zero-based submission sequence number within the session.
@@ -260,42 +265,36 @@ impl ReplayCompletion {
     }
 }
 
-/// The engine's execution substrate: the inline pool, or one worker
-/// thread per shard behind SPSC rings. Both run the identical
-/// submission discipline; the worker determinism tests pin the
-/// bit-identity.
+/// The engine's execution substrate: a tenant lease on a fleet, or one
+/// worker thread per shard behind SPSC rings. Both run the identical
+/// submission discipline; the fleet isolation and worker determinism
+/// tests pin the bit-identity.
 enum EngineCore {
-    Inline(DevicePool),
-    Workers(ShardWorkers),
-    /// A tenant lease on the server's shared fleet: the session's ops
-    /// run on its slot's shards of the one shared pool, demultiplexed
-    /// into a stream bit-identical to a private pool of the same shape
-    /// (the fleet isolation proptests pin it).
-    Fleet(FleetSession),
+    /// A tenant lease: the session's ops run on its slot's shards,
+    /// in a stream bit-identical to a private pool of the same shape. A
+    /// private session leases the only slot of its own one-slot fleet.
+    Lease(Lease),
+    Workers(Box<ShardWorkers>),
 }
 
 impl fmt::Debug for EngineCore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineCore::Inline(pool) => f.debug_tuple("Inline").field(pool).finish(),
+            EngineCore::Lease(l) => write!(f, "Lease(slot {})", l.tenant.slot()),
             EngineCore::Workers(w) => write!(f, "Workers({} shards)", w.shards()),
-            EngineCore::Fleet(s) => write!(f, "Fleet(slot {})", s.tenant.slot()),
         }
     }
 }
 
-/// One session's tenancy on the shared fleet. Dropping it — session
-/// finished, torn down, or reaped while parked — releases the slot back
-/// to the fleet for the next `Hello`.
-struct FleetSession {
+/// One session's tenancy on a fleet. Dropping it — session finished,
+/// torn down, or reaped while parked — releases the slot back to the
+/// fleet for the next `Hello`.
+struct Lease {
     handle: FleetHandle,
     tenant: TenantId,
-    /// Lease-local shard health as of the last batch/flush boundary —
-    /// exactly the points the serving loop reads it.
-    health: Vec<ShardHealth>,
 }
 
-impl Drop for FleetSession {
+impl Drop for Lease {
     fn drop(&mut self) {
         self.handle.release(self.tenant);
     }
@@ -310,9 +309,6 @@ impl Drop for FleetSession {
 #[derive(Debug)]
 pub struct ReplayEngine {
     core: EngineCore,
-    /// In-flight futures — inline mode only (workers track their own).
-    pending: Vec<(u64, u16, OpFuture)>,
-    scratch: Vec<(u64, u16, OpFuture)>,
     next_seq: u64,
     max_outstanding: usize,
 }
@@ -344,12 +340,14 @@ impl ReplayEngine {
         ReplayEngine::with_options(params, fault, retry, health, false)
     }
 
-    /// The full constructor: `pipelined = true` serves the session
-    /// through [`ShardWorkers`] — one thread per shard, fed by SPSC
-    /// rings, so decode, submission, engine stepping, and completion
-    /// encoding overlap — with a completion stream bit-identical to the
-    /// inline pool (the tests here and the worker determinism proptests
-    /// pin it).
+    /// The full constructor. By default the session leases the only
+    /// slot of a private one-slot fleet built from `params`, with
+    /// `max_outstanding` as its quota. `pipelined = true` serves it
+    /// through [`ShardWorkers`] instead — one thread per shard, fed by
+    /// SPSC rings, so decode, submission, engine stepping, and
+    /// completion encoding overlap — with a bit-identical completion
+    /// stream (the tests here and the worker determinism proptests pin
+    /// it).
     #[must_use]
     pub fn with_options(
         params: &SessionParams,
@@ -363,41 +361,33 @@ impl ReplayEngine {
             config = config.with_faults(plan);
         }
         let shards = (params.shards as usize).max(1);
-        let core = if pipelined {
-            let mut workers = ShardWorkers::launch(shards, &config);
-            workers.set_health_policy(health);
-            EngineCore::Workers(workers)
-        } else {
-            let mut pool = DevicePool::new(shards, &config);
-            pool.set_health_policy(health);
-            EngineCore::Inline(pool)
-        };
+        if !pipelined {
+            let fleet = FleetHandle::new(FleetConfig::new(1, shards, config).with_health(health));
+            return ReplayEngine::for_fleet(params, &fleet)
+                .expect("a fresh one-slot fleet has its slot free");
+        }
+        let mut workers = ShardWorkers::launch(shards, &config);
+        workers.set_health_policy(health);
         ReplayEngine {
-            core,
-            pending: Vec::new(),
-            scratch: Vec::new(),
+            core: EngineCore::Workers(Box::new(workers)),
             next_seq: 0,
             max_outstanding: (params.max_outstanding as usize).max(1),
         }
     }
 
-    /// An engine serving one tenant of a shared fleet: acquires a slot
-    /// with the session's negotiated QoS weight and outstanding-op quota
-    /// and returns `None` when every slot is taken. The slot is released
-    /// when the engine drops.
+    /// An engine serving one tenant of a fleet: acquires a slot with the
+    /// session's outstanding-op bound as its quota and returns `None`
+    /// when every slot is taken. The slot is released when the engine
+    /// drops.
     #[must_use]
     pub fn for_fleet(params: &SessionParams, handle: &FleetHandle) -> Option<Self> {
         let quota = (params.max_outstanding as usize).max(1);
-        let tenant = handle.acquire_with(u32::from(params.qos_weight.max(1)), quota)?;
-        let health = handle.health(tenant);
+        let tenant = handle.acquire_with(u32::from(params.qos_weight), quota)?;
         Some(ReplayEngine {
-            core: EngineCore::Fleet(FleetSession {
+            core: EngineCore::Lease(Lease {
                 handle: handle.clone(),
                 tenant,
-                health,
             }),
-            pending: Vec::new(),
-            scratch: Vec::new(),
             next_seq: 0,
             max_outstanding: quota,
         })
@@ -412,46 +402,26 @@ impl ReplayEngine {
     /// and the engine state is untouched (no sequence numbers consumed).
     pub fn submit_batch(&mut self, ops: &[CodicOp]) -> Result<Vec<ReplayCompletion>, CodicError> {
         match &mut self.core {
-            EngineCore::Inline(pool) => {
-                // The routed variant reports where each op actually
-                // landed: a shard wedging mid-batch is quarantined
-                // inside the pool and its traffic re-routed, and the
-                // completion must carry the shard that really served it.
-                let routed = pool.submit_all_async_routed(ops)?;
-                for (shard, future) in routed {
-                    self.pending.push((self.next_seq, shard as u16, future));
-                    self.next_seq += 1;
-                }
-                // Backpressure: relieve the in-flight window one engine
-                // event at a time; never over-drive (drive() would run
-                // all the way to idle and distort the timeline for
-                // nothing). step() reports no progress once every busy
-                // shard is stuck, so a wedged clock cannot spin this
-                // loop.
-                while pool.outstanding() > self.max_outstanding {
-                    if !pool.step() {
-                        break;
-                    }
-                }
-                // The batch boundary doubles as the op-deadline check: a
-                // shard that wedged during this batch is quarantined
-                // here, its stranded ops delivered as typed failures in
-                // this very drain. With fault injection disabled this
-                // never fires.
-                pool.check_health();
-                Ok(self.drain_ready())
+            EngineCore::Lease(lease) => {
+                // The lease runs the serving discipline: routed async
+                // submission, step-wise quota backpressure, a health
+                // check at the batch boundary, `(finish_cycle, seq)`
+                // drain order.
+                let (receipt, served) = lease.handle.submit(lease.tenant, ops)?;
+                self.next_seq += u64::from(receipt.accepted);
+                Ok(served.into_iter().map(ReplayCompletion::from).collect())
             }
             EngineCore::Workers(workers) => {
                 // All-or-nothing pre-flight happens coordinator-side
                 // before anything reaches a ring, so a rejected batch
-                // consumes no sequence numbers, same as inline.
+                // consumes no sequence numbers, same as a lease.
                 workers.submit_batch(self.next_seq, ops)?;
                 self.next_seq += ops.len() as u64;
                 // First barrier: collect what resolved while this batch
                 // was being decoded and refresh the statuses the
                 // backpressure loop gates on. Drains never advance a
                 // device, so splitting the drain around the loop yields
-                // exactly the inline path's single-drain set.
+                // exactly a lease's single-drain set.
                 let mut drained = workers.drain_ready();
                 while workers.outstanding() > self.max_outstanding {
                     if !workers.step_all() {
@@ -461,24 +431,6 @@ impl ReplayEngine {
                 workers.check_health();
                 drained.extend(workers.drain_ready());
                 Ok(into_completions(drained))
-            }
-            EngineCore::Fleet(fleet) => {
-                // The fleet runs this exact discipline inside the
-                // tenant's lease — routed async submission, step-wise
-                // quota backpressure, a health check at the batch
-                // boundary — and demultiplexes the drained events per
-                // tenant. A rejected batch is all-or-nothing there too.
-                let (receipt, events) = fleet.handle.submit(fleet.tenant, ops)?;
-                self.next_seq += u64::from(receipt.accepted);
-                fleet.health = fleet.handle.health(fleet.tenant);
-                Ok(events
-                    .into_iter()
-                    .map(|e| ReplayCompletion {
-                        seq: e.seq,
-                        shard: e.shard,
-                        completion: e.completion,
-                    })
-                    .collect())
             }
         }
     }
@@ -490,39 +442,25 @@ impl ReplayEngine {
     /// pending operation one way or the other.
     pub fn flush(&mut self) -> Vec<ReplayCompletion> {
         match &mut self.core {
-            EngineCore::Inline(pool) => {
-                pool.drive();
-                pool.check_health();
+            EngineCore::Lease(lease) => {
+                let (_, served) = lease.handle.flush(lease.tenant);
+                served.into_iter().map(ReplayCompletion::from).collect()
             }
             EngineCore::Workers(workers) => {
                 let mut drained = workers.flush();
                 workers.check_health();
                 drained.extend(workers.drain_ready());
-                return into_completions(drained);
-            }
-            EngineCore::Fleet(fleet) => {
-                let (_, events) = fleet.handle.flush(fleet.tenant);
-                fleet.health = fleet.handle.health(fleet.tenant);
-                return events
-                    .into_iter()
-                    .map(|e| ReplayCompletion {
-                        seq: e.seq,
-                        shard: e.shard,
-                        completion: e.completion,
-                    })
-                    .collect();
+                into_completions(drained)
             }
         }
-        self.drain_ready()
     }
 
-    /// Per-shard health of the serving pool.
+    /// Per-shard health of the serving shards.
     #[must_use]
-    pub fn health(&self) -> &[ShardHealth] {
+    pub fn health(&self) -> Vec<ShardHealth> {
         match &self.core {
-            EngineCore::Inline(pool) => pool.health(),
-            EngineCore::Workers(workers) => workers.health(),
-            EngineCore::Fleet(fleet) => &fleet.health,
+            EngineCore::Lease(lease) => lease.handle.health(lease.tenant),
+            EngineCore::Workers(workers) => workers.health().to_vec(),
         }
     }
 
@@ -533,9 +471,8 @@ impl ReplayEngine {
     #[must_use]
     pub fn outstanding(&self) -> usize {
         match &self.core {
-            EngineCore::Inline(pool) => pool.outstanding(),
+            EngineCore::Lease(lease) => lease.handle.outstanding(lease.tenant),
             EngineCore::Workers(workers) => workers.outstanding(),
-            EngineCore::Fleet(fleet) => fleet.handle.outstanding(fleet.tenant),
         }
     }
 
@@ -543,12 +480,8 @@ impl ReplayEngine {
     #[must_use]
     pub fn now_max(&self) -> u64 {
         match &self.core {
-            EngineCore::Inline(pool) => (0..pool.shards())
-                .map(|s| pool.device(s).now())
-                .max()
-                .unwrap_or(0),
+            EngineCore::Lease(lease) => lease.handle.now_max(lease.tenant),
             EngineCore::Workers(workers) => workers.now_max(),
-            EngineCore::Fleet(fleet) => fleet.handle.now_max(fleet.tenant),
         }
     }
 
@@ -557,44 +490,25 @@ impl ReplayEngine {
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
+}
 
-    /// Moves every resolved future out of the pending set, sorted into
-    /// completion order: ascending finish cycle, ties broken by
-    /// submission sequence. (Per shard this is exactly resolution order;
-    /// across shards the tie-break makes the interleaving deterministic.)
-    fn drain_ready(&mut self) -> Vec<ReplayCompletion> {
-        let mut ready = Vec::new();
-        self.scratch.clear();
-        for (seq, shard, mut future) in self.pending.drain(..) {
-            match future.try_take() {
-                Some(completion) => ready.push(ReplayCompletion {
-                    seq,
-                    shard,
-                    completion,
-                }),
-                None => self.scratch.push((seq, shard, future)),
-            }
+impl From<ServedOp> for ReplayCompletion {
+    fn from(op: ServedOp) -> Self {
+        ReplayCompletion {
+            seq: op.seq,
+            shard: op.shard,
+            completion: op.completion,
         }
-        std::mem::swap(&mut self.pending, &mut self.scratch);
-        ready.sort_by_key(|r| (r.completion.finish_cycle, r.seq));
-        ready
     }
 }
 
-/// Sorts worker-drained completions into the same completion order the
-/// inline path emits: ascending finish cycle, ties broken by submission
-/// sequence — a total order (seq is unique), so the emitted stream is
-/// independent of which worker thread resolved what first.
-fn into_completions(mut drained: Vec<DrainedOp>) -> Vec<ReplayCompletion> {
+/// Sorts worker-drained completions into the order a lease emits:
+/// ascending finish cycle, ties broken by submission sequence — a total
+/// order (seq is unique), so the emitted stream is independent of which
+/// worker thread resolved what first.
+fn into_completions(mut drained: Vec<ServedOp>) -> Vec<ReplayCompletion> {
     drained.sort_by_key(|d| (d.completion.finish_cycle, d.seq));
-    drained
-        .into_iter()
-        .map(|d| ReplayCompletion {
-            seq: d.seq,
-            shard: d.shard,
-            completion: d.completion,
-        })
-        .collect()
+    drained.into_iter().map(ReplayCompletion::from).collect()
 }
 
 /// Why a session ended.
@@ -1245,40 +1159,62 @@ fn handle_frame<W: Write>(
 /// session, exactly as encoded (and checksummed) on first emission, so
 /// a resumed connection can re-send the bytes an interrupted one lost.
 ///
-/// Bounded by a byte cap: pushing past it evicts the oldest whole
-/// events, sliding the retained window's base forward. A resume
-/// pointing before the base is honestly rejected — nothing here ever
-/// allocates from a client-supplied number.
+/// Events sit back to back in one byte buffer, each as its unit kind
+/// byte followed by its payload, with one `u32` payload length per event
+/// in the index. The cap counts both: an event holds `1 + payload + 4`
+/// bytes. Pushing past the cap evicts the oldest whole events, sliding
+/// the retained window's base forward; evicted bytes are compacted away
+/// once they outweigh the retained ones. A resume pointing before the
+/// base is honestly rejected — nothing here ever allocates from a
+/// client-supplied number.
 #[derive(Debug)]
 struct EventJournal {
-    /// `(unit kind, payload bytes)` per event, oldest first.
-    events: VecDeque<(u8, Box<[u8]>)>,
+    /// Retained records from `start` on: kind byte, then payload.
+    records: Vec<u8>,
+    /// Offset of the oldest retained record in `records`.
+    start: usize,
+    /// Payload length of each retained event, oldest first.
+    lens: VecDeque<u32>,
     /// Index of the oldest retained event in the session's full stream.
     base: u64,
-    /// Retained payload bytes (plus one kind byte per event).
-    bytes: usize,
     cap: usize,
 }
 
 impl EventJournal {
+    /// Bytes one event's index entry holds.
+    const INDEX_BYTES: usize = std::mem::size_of::<u32>();
+
     fn new(cap: usize) -> Self {
         EventJournal {
-            events: VecDeque::new(),
+            records: Vec::new(),
+            start: 0,
+            lens: VecDeque::new(),
             base: 0,
-            bytes: 0,
             cap: cap.max(1),
         }
     }
 
+    /// Bytes the retained events hold: their records plus their index
+    /// entries.
+    fn held(&self) -> usize {
+        self.records.len() - self.start + self.lens.len() * Self::INDEX_BYTES
+    }
+
     fn push(&mut self, kind: u8, payload: &[u8]) {
-        self.bytes += payload.len() + 1;
-        self.events.push_back((kind, payload.into()));
+        self.records.push(kind);
+        self.records.extend_from_slice(payload);
+        self.lens
+            .push_back(u32::try_from(payload.len()).expect("an event payload fits u32"));
         // Keep at least the newest event even if it alone exceeds the
         // cap: a journal that can't hold one event is useless.
-        while self.bytes > self.cap && self.events.len() > 1 {
-            let (_, old) = self.events.pop_front().expect("len > 1");
-            self.bytes -= old.len() + 1;
+        while self.held() > self.cap && self.lens.len() > 1 {
+            let len = self.lens.pop_front().expect("len > 1");
+            self.start += 1 + len as usize;
             self.base += 1;
+        }
+        if self.start > self.records.len() - self.start {
+            self.records.drain(..self.start);
+            self.start = 0;
         }
     }
 
@@ -1286,13 +1222,21 @@ impl EventJournal {
     /// the session's stream can be replayed; `total` is the count of
     /// all events ever emitted.
     fn window(&self) -> (u64, u64) {
-        (self.base, self.base + self.events.len() as u64)
+        (self.base, self.base + self.lens.len() as u64)
     }
 
     /// Events from stream index `from` (clamped to the base) onward.
     fn iter_from(&self, from: u64) -> impl Iterator<Item = (u8, &[u8])> {
         let skip = usize::try_from(from.saturating_sub(self.base)).unwrap_or(usize::MAX);
-        self.events.iter().skip(skip).map(|(k, p)| (*k, p.as_ref()))
+        let mut at = self.start;
+        self.lens
+            .iter()
+            .map(move |&len| {
+                let record = &self.records[at..at + 1 + len as usize];
+                at += record.len();
+                (record[0], &record[1..])
+            })
+            .skip(skip)
     }
 }
 
@@ -1932,7 +1876,7 @@ mod tests {
         // Direct run: same batches through bare submit_all_async, one
         // drive at the end.
         let config = ServerConfig::device_config(&params);
-        let mut pool = DevicePool::new(params.shards as usize, &config);
+        let mut pool = codic_core::pool::DevicePool::new(params.shards as usize, &config);
         let mut futures = Vec::new();
         for batch in &batches {
             futures.extend(pool.submit_all_async(batch).unwrap());
@@ -2476,8 +2420,8 @@ mod tests {
 
     #[test]
     fn event_journal_evicts_oldest_whole_events_and_keeps_the_newest() {
-        // Cap of 30 bytes at 11 bytes per event (10 payload + 1 kind):
-        // two events fit; the third always evicts the oldest.
+        // Cap of 30 bytes at 15 bytes per event (10 payload + 1 kind +
+        // 4 index): two events fit; the third always evicts the oldest.
         let mut journal = EventJournal::new(30);
         assert_eq!(journal.window(), (0, 0));
         for i in 0..5u8 {
@@ -2499,6 +2443,43 @@ mod tests {
         assert_eq!(journal.window(), (0, 1));
         journal.push(1, &[8; 64]);
         assert_eq!(journal.window(), (1, 2), "the newest always survives");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The journal against a naive model that keeps every event:
+        /// after each push, the window is the longest suffix whose
+        /// `1 + payload + 4` bytes fit the cap (never less than the
+        /// newest event), and `iter_from` replays exactly that suffix
+        /// from any clamped start.
+        #[test]
+        fn event_journal_matches_a_naive_model(
+            cap in 1usize..400,
+            events in proptest::collection::vec((0u8..2, 0usize..64, proptest::prelude::any::<u8>()), 0..80),
+            from in 0u64..96,
+        ) {
+            let mut journal = EventJournal::new(cap);
+            let mut model: Vec<(u8, Vec<u8>)> = Vec::new();
+            for (kind, len, fill) in events {
+                let payload = vec![fill; len];
+                journal.push(kind, &payload);
+                model.push((kind, payload));
+                let mut base = model.len() - 1;
+                let mut held = model[base].1.len() + 5;
+                while base > 0 && held + model[base - 1].1.len() + 5 <= cap {
+                    base -= 1;
+                    held += model[base].1.len() + 5;
+                }
+                proptest::prop_assert_eq!(journal.window(), (base as u64, model.len() as u64));
+                let start = (from as usize).clamp(base, model.len());
+                let replayed: Vec<(u8, Vec<u8>)> = journal
+                    .iter_from(from)
+                    .map(|(k, p)| (k, p.to_vec()))
+                    .collect();
+                proptest::prop_assert_eq!(&replayed[..], &model[start..]);
+            }
+        }
     }
 
     #[test]
