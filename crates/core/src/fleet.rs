@@ -1,11 +1,11 @@
-//! A shared device fleet multiplexing many tenants over one array of
-//! devices.
+//! A shared device fleet multiplexing many tenants over disjoint slots
+//! of devices.
 //!
-//! [`SharedFleet`] is the substrate every non-worker session is served
-//! from: one sharded array of devices, carved into fixed-size *slots* of
-//! contiguous shards, with each tenant holding an exclusive
-//! [`ShardLease`] over its slot. A private session is the only tenant of
-//! a one-slot fleet. Two properties define the design:
+//! [`FleetHandle`] is the substrate every non-worker session is served
+//! from: fixed-size *slots*, each owning its own shards, with each
+//! tenant holding an exclusive [`ShardLease`] over its slot. A private
+//! session is the only tenant of a one-slot fleet. Two properties define
+//! the design:
 //!
 //! - **Isolation by construction.** A tenant's lease routes, quarantines,
 //!   and drives clocks with the *same* [`ShardLease`] machinery a private
@@ -23,13 +23,13 @@
 //!   shape host-side work only; they never touch another tenant's
 //!   clocks.
 //!
-//! Admission is direct: [`SharedFleet::submit`] runs the batch through
+//! Admission is direct: [`FleetHandle::submit`] runs the batch through
 //! the tenant's lease and returns the events that drained. There is no
-//! cross-tenant scheduler. Slots are disjoint shards, so the only thing
-//! tenants share is the host CPU and the fleet lock.
-//!
-//! [`FleetHandle`] wraps the fleet in `Arc<Mutex<…>>` for the server's
-//! one-thread-per-session model.
+//! cross-tenant scheduler. Each slot keeps its devices and its tenancy
+//! behind a lock of its own, so serving calls lock only the caller's
+//! slot and tenants on different slots run in parallel. Only acquiring
+//! and releasing a slot touch the fleet's small registry of who holds
+//! which slot.
 //!
 //! # Example
 //!
@@ -64,7 +64,7 @@
 //! ```
 
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::device::{CodicDevice, DeviceConfig};
 use crate::error::CodicError;
@@ -73,12 +73,12 @@ use crate::fault::HealthPolicy;
 use crate::ops::CodicOp;
 use crate::pool::{shard_device, ServedOp, ShardHealth, ShardLease};
 
-/// Static shape of a [`SharedFleet`].
+/// Static shape of a fleet.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of tenant slots. Each holds at most one tenant.
     pub slots: usize,
-    /// Contiguous shards leased to each slot.
+    /// Shards owned by each slot.
     pub shards_per_slot: usize,
     /// Device configuration for every shard. A
     /// [`FaultPlan`](crate::fault::FaultPlan) here is the *base* plan:
@@ -87,7 +87,7 @@ pub struct FleetConfig {
     /// private pool built from the same config would see.
     pub device: DeviceConfig,
     /// Default per-tenant outstanding-op quota
-    /// (see [`SharedFleet::acquire_with`] to override per tenant).
+    /// (see [`FleetHandle::acquire_with`] to override per tenant).
     pub quota: usize,
     /// Self-quarantine policy applied to every tenant's lease.
     pub health: HealthPolicy,
@@ -218,32 +218,78 @@ impl Tenant {
     }
 }
 
-/// A slot's occupancy. `Fresh` devices were built for a first tenancy
-/// and never served; `Spent` devices carry a previous tenant's state and
-/// are rebuilt when the slot is next acquired.
-#[derive(Debug)]
-enum Slot {
+/// A slot's occupancy, as the registry tracks it. `Fresh` devices were
+/// built with the fleet and never served; `Spent` devices carry a
+/// previous tenant's state and are rebuilt when the slot is next
+/// acquired; `Held` carries the live tenancy's epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SlotState {
     Fresh,
     Spent,
-    Held(Box<Tenant>),
+    Held(u64),
 }
 
-/// The shared fleet: one device array carved into per-tenant
-/// [`ShardLease`]s. See the [module docs](self) for the design contract.
-#[derive(Debug)]
-pub struct SharedFleet {
-    devices: Vec<CodicDevice>,
-    config: FleetConfig,
-    slots: Vec<Slot>,
+/// The only state tenants share: who holds which slot.
+struct Registry {
+    states: Vec<SlotState>,
     /// Monotonic tenancy counter backing [`TenantId`] staleness checks.
     epoch: u64,
 }
 
-impl SharedFleet {
-    /// Builds the fleet, all slots free: `slots × shards_per_slot`
-    /// devices, each slot's shards built the way a private pool of
-    /// `shards_per_slot` shards builds them (the base fault plan, if
-    /// any, derived by **lease-local** shard index).
+/// One slot: the shards it owns and its live tenancy, if any.
+struct SlotBody {
+    devices: Vec<CodicDevice>,
+    tenant: Option<Tenant>,
+}
+
+/// What every clone of a [`FleetHandle`] shares.
+struct Fleet {
+    config: FleetConfig,
+    /// Locked only by [`FleetHandle::acquire_with`] and
+    /// [`FleetHandle::release`], always before a slot.
+    registry: Mutex<Registry>,
+    slots: Box<[Mutex<SlotBody>]>,
+}
+
+/// Locks `mutex`, ignoring poison. A holder can panic only on a stale
+/// handle, before it mutates anything, or inside its own tenancy, whose
+/// slot is released `Spent` and rebuilt before anyone serves from it
+/// again.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The shards of one slot, built the way a private pool of
+/// `shards_per_slot` shards builds them (the base fault plan, if any,
+/// derived by **lease-local** shard index).
+fn slot_devices(config: &FleetConfig) -> Vec<CodicDevice> {
+    (0..config.shards_per_slot)
+        .map(|local| shard_device(&config.device, local))
+        .collect()
+}
+
+/// The shared fleet: slots of disjoint shards, each behind its own lock,
+/// leased one per tenant. Cloneable and thread-safe, the form the
+/// server's one-thread-per-session model consumes. See the
+/// [module docs](self) for the design contract.
+#[derive(Clone)]
+pub struct FleetHandle {
+    inner: Arc<Fleet>,
+}
+
+impl fmt::Debug for FleetHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FleetHandle")
+            .field("slots", &self.slots())
+            .field("free_slots", &self.free_slots())
+            .field("shards_per_slot", &self.shards_per_slot())
+            .finish()
+    }
+}
+
+impl FleetHandle {
+    /// Builds the fleet, all slots free, each slot's shards built once
+    /// here (see [`FleetHandle::acquire_with`] for when they are rebuilt).
     ///
     /// # Panics
     ///
@@ -255,45 +301,58 @@ impl SharedFleet {
             config.shards_per_slot > 0,
             "a slot needs at least one shard"
         );
-        let per_slot = config.shards_per_slot;
-        SharedFleet {
-            devices: (0..config.slots * per_slot)
-                .map(|shard| shard_device(&config.device, shard % per_slot))
+        let fleet = Fleet {
+            registry: Mutex::new(Registry {
+                states: vec![SlotState::Fresh; config.slots],
+                epoch: 0,
+            }),
+            slots: (0..config.slots)
+                .map(|_| {
+                    Mutex::new(SlotBody {
+                        devices: slot_devices(&config),
+                        tenant: None,
+                    })
+                })
                 .collect(),
-            slots: (0..config.slots).map(|_| Slot::Fresh).collect(),
-            epoch: 0,
             config,
+        };
+        FleetHandle {
+            inner: Arc::new(fleet),
         }
     }
 
     /// Number of tenant slots.
     #[must_use]
     pub fn slots(&self) -> usize {
-        self.slots.len()
+        self.inner.slots.len()
     }
 
     /// Slots currently free.
     #[must_use]
     pub fn free_slots(&self) -> usize {
-        self.slots
+        lock(&self.inner.registry)
+            .states
             .iter()
-            .filter(|s| !matches!(s, Slot::Held(_)))
+            .filter(|s| !matches!(s, SlotState::Held(_)))
             .count()
     }
 
-    /// Shards leased to each slot.
+    /// Shards owned by each slot.
     #[must_use]
     pub fn shards_per_slot(&self) -> usize {
-        self.config.shards_per_slot
+        self.inner.config.shards_per_slot
     }
 
     /// Acquires a free slot with the fleet's default quota.
-    pub fn acquire(&mut self) -> Option<TenantId> {
-        self.acquire_with(self.config.quota)
+    pub fn acquire(&self) -> Option<TenantId> {
+        self.acquire_with(1, self.inner.config.quota)
     }
 
     /// Acquires the lowest free slot for a new tenant with outstanding-op
     /// `quota` (clamped to at least 1), or `None` when the fleet is full.
+    /// `weight` has no effect: admission is direct, with no cross-tenant
+    /// scheduler to weigh. It stays in the signature only because
+    /// existing callers still pass it.
     ///
     /// The tenant gets factory-fresh devices: local shard `l` runs
     /// `plan.for_shard(l)`, exactly what [`DevicePool::new`] builds for a
@@ -303,33 +362,32 @@ impl SharedFleet {
     /// health state, is the whole solo-equivalence argument.
     ///
     /// [`DevicePool::new`]: crate::pool::DevicePool::new
-    pub fn acquire_with(&mut self, quota: usize) -> Option<TenantId> {
-        let slot = self
-            .slots
+    pub fn acquire_with(&self, weight: u32, quota: usize) -> Option<TenantId> {
+        let _ = weight;
+        let fleet = &*self.inner;
+        let mut registry = lock(&fleet.registry);
+        let slot = registry
+            .states
             .iter()
-            .position(|s| !matches!(s, Slot::Held(_)))?;
-        let per_slot = self.config.shards_per_slot;
-        let base = slot * per_slot;
-        if matches!(self.slots[slot], Slot::Spent) {
-            for local in 0..per_slot {
-                self.devices[base + local] = shard_device(&self.config.device, local);
-            }
+            .position(|s| !matches!(s, SlotState::Held(_)))?;
+        registry.epoch += 1;
+        let epoch = registry.epoch;
+        let previous = std::mem::replace(&mut registry.states[slot], SlotState::Held(epoch));
+        let mut body = lock(&fleet.slots[slot]);
+        if previous == SlotState::Spent {
+            body.devices = slot_devices(&fleet.config);
         }
-        let mut lease = ShardLease::new(base, per_slot, &self.config.device);
-        lease.set_health_policy(self.config.health);
-        self.epoch += 1;
-        self.slots[slot] = Slot::Held(Box::new(Tenant {
-            epoch: self.epoch,
+        let mut lease = ShardLease::new(fleet.config.shards_per_slot, &fleet.config.device);
+        lease.set_health_policy(fleet.config.health);
+        body.tenant = Some(Tenant {
+            epoch,
             lease,
             quota: quota.max(1),
             next_seq: 0,
             inflight: Vec::new(),
             scratch: Vec::new(),
-        }));
-        Some(TenantId {
-            slot,
-            epoch: self.epoch,
-        })
+        });
+        Some(TenantId { slot, epoch })
     }
 
     /// Releases the tenancy, freeing its slot for the next tenant (whose
@@ -338,32 +396,33 @@ impl SharedFleet {
     /// # Panics
     ///
     /// Panics on a stale [`TenantId`].
-    pub fn release(&mut self, id: TenantId) {
-        let slot = self.checked_slot(id);
-        self.slots[slot] = Slot::Spent;
+    pub fn release(&self, id: TenantId) {
+        let mut registry = lock(&self.inner.registry);
+        assert!(
+            registry.states[id.slot] == SlotState::Held(id.epoch),
+            "stale tenant handle for slot {}",
+            id.slot
+        );
+        registry.states[id.slot] = SlotState::Spent;
+        lock(&self.inner.slots[id.slot]).tenant = None;
     }
 
-    fn checked_slot(&self, id: TenantId) -> usize {
-        match &self.slots[id.slot] {
-            Slot::Held(t) if t.epoch == id.epoch => id.slot,
+    /// Runs `f` on the tenant and its slot's devices under the slot's
+    /// lock alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a stale [`TenantId`].
+    fn with_tenant<R>(
+        &self,
+        id: TenantId,
+        f: impl FnOnce(&mut Tenant, &mut [CodicDevice]) -> R,
+    ) -> R {
+        let mut body = lock(&self.inner.slots[id.slot]);
+        let SlotBody { devices, tenant } = &mut *body;
+        match tenant {
+            Some(t) if t.epoch == id.epoch => f(t, devices),
             _ => panic!("stale tenant handle for slot {}", id.slot),
-        }
-    }
-
-    /// The tenant and the device array its lease indexes into.
-    fn tenant_mut(&mut self, id: TenantId) -> (&mut Tenant, &mut [CodicDevice]) {
-        let slot = self.checked_slot(id);
-        match &mut self.slots[slot] {
-            Slot::Held(t) => (t, &mut self.devices),
-            _ => unreachable!("checked_slot verified occupancy"),
-        }
-    }
-
-    fn tenant(&self, id: TenantId) -> &Tenant {
-        let slot = self.checked_slot(id);
-        match &self.slots[slot] {
-            Slot::Held(t) => t,
-            _ => unreachable!("checked_slot verified occupancy"),
         }
     }
 
@@ -381,151 +440,40 @@ impl SharedFleet {
     ///
     /// Panics on a stale [`TenantId`].
     pub fn submit(
-        &mut self,
+        &self,
         id: TenantId,
         ops: &[CodicOp],
     ) -> Result<(AdmitReceipt, Vec<ServedOp>), CodicError> {
-        let (tenant, devices) = self.tenant_mut(id);
-        tenant.admit(devices, ops)
+        self.with_tenant(id, |tenant, devices| tenant.admit(devices, ops))
     }
 
     /// Flushes the tenancy: runs its lease to idle, applies the health
     /// policy, drains every event. Returns the slowest leased shard's
     /// cycle and the drained events. Other tenants' clocks don't move.
-    pub fn flush(&mut self, id: TenantId) -> (u64, Vec<ServedOp>) {
-        let (tenant, devices) = self.tenant_mut(id);
-        tenant.lease.run_to_idle(devices);
-        tenant.lease.check_health(devices);
-        (tenant.lease.now_max(devices), tenant.drain())
+    pub fn flush(&self, id: TenantId) -> (u64, Vec<ServedOp>) {
+        self.with_tenant(id, |tenant, devices| {
+            tenant.lease.run_to_idle(devices);
+            tenant.lease.check_health(devices);
+            (tenant.lease.now_max(devices), tenant.drain())
+        })
     }
 
     /// Operations admitted but not yet completed on the tenant's lease.
     #[must_use]
     pub fn outstanding(&self, id: TenantId) -> usize {
-        self.tenant(id).lease.outstanding(&self.devices)
+        self.with_tenant(id, |tenant, devices| tenant.lease.outstanding(devices))
     }
 
     /// The slowest shard cycle on the tenant's lease.
     #[must_use]
     pub fn now_max(&self, id: TenantId) -> u64 {
-        self.tenant(id).lease.now_max(&self.devices)
+        self.with_tenant(id, |tenant, devices| tenant.lease.now_max(devices))
     }
 
     /// The tenant's per-shard health, lease-local indices.
     #[must_use]
-    pub fn health(&self, id: TenantId) -> &[ShardHealth] {
-        self.tenant(id).lease.health()
-    }
-}
-
-/// Cloneable, thread-safe handle to a [`SharedFleet`] — the form the
-/// server's one-thread-per-session model consumes. Every method locks
-/// the fleet for its duration.
-#[derive(Clone)]
-pub struct FleetHandle {
-    inner: Arc<Mutex<SharedFleet>>,
-}
-
-impl fmt::Debug for FleetHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let fleet = self.lock();
-        f.debug_struct("FleetHandle")
-            .field("slots", &fleet.slots())
-            .field("free_slots", &fleet.free_slots())
-            .field("shards_per_slot", &fleet.shards_per_slot())
-            .finish()
-    }
-}
-
-impl FleetHandle {
-    /// Builds a fleet and wraps it (see [`SharedFleet::new`]).
-    ///
-    /// # Panics
-    ///
-    /// As [`SharedFleet::new`].
-    #[must_use]
-    pub fn new(config: FleetConfig) -> Self {
-        FleetHandle {
-            inner: Arc::new(Mutex::new(SharedFleet::new(config))),
-        }
-    }
-
-    /// Locks the fleet for direct driving (benchmarks, tests). A
-    /// panicked holder's poison is ignored: the fleet's state is only
-    /// mutated under methods that keep it consistent at every await-free
-    /// step.
-    pub fn lock(&self) -> MutexGuard<'_, SharedFleet> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Acquires a slot with outstanding-op `quota` (see
-    /// [`SharedFleet::acquire_with`]). `weight` has no effect: admission
-    /// is direct, with no cross-tenant scheduler to weigh. It stays in
-    /// the signature only because existing callers still pass it.
-    pub fn acquire_with(&self, weight: u32, quota: usize) -> Option<TenantId> {
-        let _ = weight;
-        self.lock().acquire_with(quota)
-    }
-
-    /// See [`SharedFleet::release`].
-    pub fn release(&self, id: TenantId) {
-        self.lock().release(id);
-    }
-
-    /// See [`SharedFleet::submit`].
-    ///
-    /// # Errors
-    ///
-    /// As [`SharedFleet::submit`].
-    pub fn submit(
-        &self,
-        id: TenantId,
-        ops: &[CodicOp],
-    ) -> Result<(AdmitReceipt, Vec<ServedOp>), CodicError> {
-        self.lock().submit(id, ops)
-    }
-
-    /// See [`SharedFleet::flush`].
-    pub fn flush(&self, id: TenantId) -> (u64, Vec<ServedOp>) {
-        self.lock().flush(id)
-    }
-
-    /// See [`SharedFleet::outstanding`].
-    #[must_use]
-    pub fn outstanding(&self, id: TenantId) -> usize {
-        self.lock().outstanding(id)
-    }
-
-    /// See [`SharedFleet::now_max`].
-    #[must_use]
-    pub fn now_max(&self, id: TenantId) -> u64 {
-        self.lock().now_max(id)
-    }
-
-    /// The tenant's per-shard health, cloned out of the lock.
-    #[must_use]
     pub fn health(&self, id: TenantId) -> Vec<ShardHealth> {
-        self.lock().health(id).to_vec()
-    }
-
-    /// See [`SharedFleet::slots`].
-    #[must_use]
-    pub fn slots(&self) -> usize {
-        self.lock().slots()
-    }
-
-    /// See [`SharedFleet::free_slots`].
-    #[must_use]
-    pub fn free_slots(&self) -> usize {
-        self.lock().free_slots()
-    }
-
-    /// See [`SharedFleet::shards_per_slot`].
-    #[must_use]
-    pub fn shards_per_slot(&self) -> usize {
-        self.lock().shards_per_slot()
+        self.with_tenant(id, |tenant, _| tenant.lease.health().to_vec())
     }
 }
 
@@ -551,7 +499,7 @@ mod tests {
 
     #[test]
     fn slots_acquire_release_and_recycle() {
-        let mut fleet = SharedFleet::new(FleetConfig::new(2, 2, device_config()));
+        let fleet = FleetHandle::new(FleetConfig::new(2, 2, device_config()));
         assert_eq!(fleet.free_slots(), 2);
         let a = fleet.acquire().expect("slot a");
         let b = fleet.acquire().expect("slot b");
@@ -569,11 +517,63 @@ mod tests {
     #[test]
     #[should_panic(expected = "stale tenant handle")]
     fn stale_tenant_handles_are_caught() {
-        let mut fleet = SharedFleet::new(FleetConfig::new(1, 1, device_config()));
+        let fleet = FleetHandle::new(FleetConfig::new(1, 1, device_config()));
         let a = fleet.acquire().expect("slot");
         fleet.release(a);
         let _b = fleet.acquire().expect("recycled");
         let _ = fleet.submit(a, &zero_ops(1)); // stale: a's epoch is gone
+    }
+
+    #[test]
+    fn a_stale_handle_panic_poisons_only_its_own_slot() {
+        // A stale handle panics inside its slot's lock and poisons it.
+        // The slot's live occupant, a co-tenant on the other slot, and
+        // the slot's next tenant must each serve exactly the stream an
+        // undisturbed twin fleet serves.
+        let device = device_config().with_faults(FaultPlan::new(31).with_misfires(4000));
+        let ops = zero_ops(256);
+        let run = |panic: bool| {
+            let fleet = FleetHandle::new(FleetConfig::new(2, 2, device.clone()).with_quota(32));
+            let neighbour = fleet.acquire().expect("slot 0");
+            let stale = fleet.acquire().expect("slot 1");
+            fleet.submit(stale, &ops[..64]).expect("admit");
+            fleet.release(stale);
+            let live = fleet.acquire().expect("slot 1 recycled");
+            let (mut live_events, mut neighbour_events) = (Vec::new(), Vec::new());
+            for (i, chunk) in ops.chunks(32).enumerate() {
+                live_events.extend(fleet.submit(live, chunk).expect("admit").1);
+                if panic && i == 3 {
+                    let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        fleet.submit(stale, chunk)
+                    }));
+                    assert!(hit.is_err(), "the stale handle panics");
+                    assert!(fleet.inner.slots[live.slot()].is_poisoned());
+                }
+                neighbour_events.extend(fleet.submit(neighbour, chunk).expect("admit").1);
+            }
+            live_events.extend(fleet.flush(live).1);
+            neighbour_events.extend(fleet.flush(neighbour).1);
+            fleet.release(live);
+            let next = fleet.acquire().expect("slot 1 again");
+            assert_eq!(next.slot(), live.slot());
+            let (_, mut next_events) = fleet.submit(next, &ops).expect("admit");
+            next_events.extend(fleet.flush(next).1);
+            (live_events, neighbour_events, next_events)
+        };
+        let twin = run(false);
+        let poisoned = run(true);
+        assert_eq!(poisoned.0, twin.0, "the live occupant's stream moved");
+        assert_eq!(poisoned.1, twin.1, "the co-tenant's stream moved");
+        assert_eq!(poisoned.2, twin.2, "the next tenant's stream moved");
+
+        let fresh = FleetHandle::new(FleetConfig::new(1, 2, device).with_quota(32));
+        let t = fresh.acquire().expect("slot");
+        let (_, mut events) = fresh.submit(t, &ops).expect("admit");
+        events.extend(fresh.flush(t).1);
+        assert_eq!(
+            poisoned.2, events,
+            "the released slot serves a fresh stream"
+        );
     }
 
     #[test]
@@ -604,7 +604,7 @@ mod tests {
 
     #[test]
     fn quota_is_respected_after_every_admission() {
-        let mut fleet = SharedFleet::new(FleetConfig::new(1, 2, device_config()).with_quota(8));
+        let fleet = FleetHandle::new(FleetConfig::new(1, 2, device_config()).with_quota(8));
         let t = fleet.acquire().expect("slot");
         for chunk in zero_ops(64).chunks(16) {
             fleet.submit(t, chunk).expect("admit");

@@ -41,11 +41,11 @@
 //!   one thread per shard fed by SPSC rings, drained in deterministic
 //!   per-shard seq order, bit-identical to the inline [`DevicePool`]
 //!   path;
-//! - [`fleet`]: the [`SharedFleet`] every non-worker session is served
-//!   from — one device array carved into exclusive per-tenant shard
-//!   leases with per-tenant quotas and direct admission, each tenant's
-//!   stream bit-identical to a private pool's (a private session is the
-//!   one tenant of a one-slot fleet);
+//! - [`fleet`]: the [`FleetHandle`] every non-worker session is served
+//!   from — slots of disjoint shards, each behind its own lock, leased
+//!   one per tenant with per-tenant quotas and direct admission, each
+//!   tenant's stream bit-identical to a private pool's (a private
+//!   session is the one tenant of a one-slot fleet);
 //! - [`data`]: the lazily materialized compute-region data plane, so
 //!   bulk-bitwise results are value-checked rather than only timed;
 //! - [`simd`]: the bit-serial SIMD planner compiling element-wise vector
@@ -96,7 +96,7 @@ pub use device::{
 pub use error::CodicError;
 pub use executor::{block_on, OpFuture};
 pub use fault::{FaultCause, FaultPlan, FaultStats, HealthPolicy, OpOutcome, RetryPolicy};
-pub use fleet::{FleetConfig, FleetHandle, SharedFleet, TenantId};
+pub use fleet::{FleetConfig, FleetHandle, TenantId};
 pub use latency::CommandCost;
 pub use mode_register::{ModeRegister, ModeRegisterFile};
 pub use ops::{CodicOp, InDramMechanism, RowRegion, VariantId};

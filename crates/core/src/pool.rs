@@ -170,24 +170,22 @@ impl PoolOutcome {
     }
 }
 
-/// Routing and health state over a contiguous range of a pool's shards,
-/// with *lease-local* shard indices.
+/// Routing and health state over one slice of devices, with
+/// *lease-local* shard indices.
 ///
-/// A lease is the pool's routing machinery made relocatable: shard
-/// index `local` backs onto device `base + local` of the owning
-/// [`DevicePool`], and every routing, quarantine, and clock-driving
-/// decision consults only the lease's own health table. A `DevicePool`
-/// routes all of its own traffic through one whole-pool lease
-/// (`base = 0`), the shared fleet
-/// ([`SharedFleet`](crate::fleet::SharedFleet)) carves one device array
-/// into disjoint per-tenant leases, and the shard workers route with a
-/// lease as their table — the *same code path* everywhere, which is what
+/// A lease is the pool's routing machinery made relocatable: every
+/// method takes the device slice the lease covers, lease-local shard
+/// `local` is `devices[local]`, and every routing, quarantine, and
+/// clock-driving decision consults only the lease's own health table. A
+/// [`DevicePool`] routes all of its own traffic through one whole-pool
+/// lease, each slot of the shared fleet
+/// ([`FleetHandle`](crate::fleet::FleetHandle)) serves its tenant through
+/// a lease over the slot's own devices, and the shard workers route with
+/// a lease as their table — the *same code path* everywhere, which is what
 /// makes a tenant's stream on a shared fleet bit-identical to a private
 /// pool's by construction rather than by re-implementation.
 #[derive(Debug)]
 pub struct ShardLease {
-    /// First backing shard in the owning pool.
-    base: usize,
     /// Rows per distribution block: one block spans every bank of a
     /// shard, so consecutive blocks rotate shards without starving any
     /// shard's bank-level parallelism.
@@ -210,17 +208,15 @@ pub struct ShardLease {
 }
 
 impl ShardLease {
-    /// A lease over shards `base..base + shards` of a pool whose devices
-    /// were built from `config`, all healthy.
+    /// A lease over `shards` devices built from `config`, all healthy.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero.
     #[must_use]
-    pub(crate) fn new(base: usize, shards: usize, config: &DeviceConfig) -> Self {
+    pub(crate) fn new(shards: usize, config: &DeviceConfig) -> Self {
         assert!(shards > 0, "a lease needs at least one shard");
         ShardLease {
-            base,
             block_rows: u64::from(config.geometry.total_banks()).max(1),
             health: vec![ShardHealth::Healthy; shards],
             healthy: (0..shards).collect(),
@@ -230,12 +226,6 @@ impl ShardLease {
             },
             health_policy: HealthPolicy::default(),
         }
-    }
-
-    /// First backing shard in the owning pool.
-    #[must_use]
-    pub fn base(&self) -> usize {
-        self.base
     }
 
     /// Number of leased shards.
@@ -278,7 +268,7 @@ impl ShardLease {
     }
 
     /// Quarantines lease-local `shard` (see [`DevicePool::quarantine`]).
-    /// `devices` is the owning pool's full device slice.
+    /// `devices` is the slice the lease covers.
     pub(crate) fn quarantine(
         &mut self,
         devices: &mut [CodicDevice],
@@ -288,7 +278,7 @@ impl ShardLease {
         if !self.health[shard].is_healthy() {
             return 0;
         }
-        let device = &mut devices[self.base + shard];
+        let device = &mut devices[shard];
         if !device.is_stalled() {
             device.run_to_idle();
         }
@@ -334,7 +324,7 @@ impl ShardLease {
     pub(crate) fn check_health(&mut self, devices: &mut [CodicDevice]) -> usize {
         let mut condemned = 0;
         for shard in 0..self.health.len() {
-            let device = &devices[self.base + shard];
+            let device = &devices[shard];
             if let Some(cause) = self.verdict(shard, device.is_stalled(), device.fault_stats()) {
                 self.quarantine(devices, shard, cause);
                 condemned += 1;
@@ -363,7 +353,7 @@ impl ShardLease {
             if self.healthy.is_empty() {
                 return Err(CodicError::NoHealthyShards);
             }
-            match submit(&mut devices[self.base + shard], op) {
+            match submit(&mut devices[shard], op) {
                 Err(CodicError::DeviceStalled) => {
                     // The shard can make no progress with a full queue:
                     // condemn it here rather than bounce the batch; its
@@ -390,9 +380,7 @@ impl ShardLease {
         ops.iter()
             .map(|&op| {
                 let shard = self.shard_of(op);
-                devices[self.base + shard]
-                    .controller()
-                    .check_safe_range(op)?;
+                devices[shard].controller().check_safe_range(op)?;
                 Ok(shard)
             })
             .collect()
@@ -423,7 +411,7 @@ impl ShardLease {
     /// was already idle.
     pub(crate) fn step(&self, devices: &mut [CodicDevice]) -> bool {
         let mut advanced = false;
-        for device in &mut devices[self.base..self.base + self.health.len()] {
+        for device in devices {
             // `u64::MAX` guarantees `step()` would be a no-op; skipping
             // the shard is state-identical and keeps the backpressure
             // loop from re-visiting drained shards every iteration.
@@ -438,16 +426,16 @@ impl ShardLease {
     /// the slowest leased shard's finish cycle (see
     /// [`DevicePool::run_to_idle`]).
     pub(crate) fn run_to_idle(&self, devices: &mut [CodicDevice]) -> u64 {
-        let mine = &mut devices[self.base..self.base + self.health.len()];
         // Shards with no actionable event would run-to-idle as a no-op;
         // skip them (their clocks stay put, contributing only `now`)
         // and skip the rayon dispatch entirely when every shard is
         // quiet — serving loops flush at every batch boundary, where
         // most shards are usually already drained.
-        if mine.iter().all(|d| d.next_event_cycle() == u64::MAX) {
-            return mine.iter().map(CodicDevice::now).max().unwrap_or(0);
+        if devices.iter().all(|d| d.next_event_cycle() == u64::MAX) {
+            return devices.iter().map(CodicDevice::now).max().unwrap_or(0);
         }
-        mine.iter_mut()
+        devices
+            .iter_mut()
             .collect::<Vec<_>>()
             .into_par_iter()
             .map(|d| {
@@ -466,19 +454,12 @@ impl ShardLease {
     /// Operations submitted but not yet completed across the leased
     /// shards — the lease's backpressure signal.
     pub(crate) fn outstanding(&self, devices: &[CodicDevice]) -> usize {
-        devices[self.base..self.base + self.health.len()]
-            .iter()
-            .map(CodicDevice::outstanding)
-            .sum()
+        devices.iter().map(CodicDevice::outstanding).sum()
     }
 
     /// The slowest leased shard's current cycle.
     pub(crate) fn now_max(&self, devices: &[CodicDevice]) -> u64 {
-        devices[self.base..self.base + self.health.len()]
-            .iter()
-            .map(CodicDevice::now)
-            .max()
-            .unwrap_or(0)
+        devices.iter().map(CodicDevice::now).max().unwrap_or(0)
     }
 }
 
@@ -486,7 +467,7 @@ impl ShardLease {
 #[derive(Debug)]
 pub struct DevicePool {
     devices: Vec<CodicDevice>,
-    /// Whole-pool routing and health state (`base = 0`) — the same
+    /// Whole-pool routing and health state — the same
     /// [`ShardLease`] machinery the shared fleet carves per tenant.
     lease: ShardLease,
 }
@@ -510,7 +491,7 @@ impl DevicePool {
             devices: (0..shards)
                 .map(|shard| shard_device(config, shard))
                 .collect(),
-            lease: ShardLease::new(0, shards, config),
+            lease: ShardLease::new(shards, config),
         }
     }
 

@@ -172,7 +172,7 @@ impl ShardWorkers {
                 shards
             ],
             stash: Vec::new(),
-            routes: ShardLease::new(0, shards, config),
+            routes: ShardLease::new(shards, config),
             policy: CodicController::new(config.safe_range.clone())
                 .with_compute_range(config.compute_range()),
         }

@@ -1,5 +1,5 @@
 //! The tenant-isolation pin: property tests asserting that a tenant's
-//! event stream on a [`SharedFleet`] is **bit-identical** to a solo run
+//! event stream on a [`FleetHandle`] is **bit-identical** to a solo run
 //! of the same operations on an equivalent private [`DevicePool`] —
 //! sequence numbers, lease-local shards, finish cycles, busy cycles,
 //! energy bits, outcomes, attempts, fingerprints — for random tenant
@@ -20,12 +20,13 @@
 use codic_core::device::{DeviceConfig, OpCompletion};
 use codic_core::executor::OpFuture;
 use codic_core::fault::{FaultPlan, RetryPolicy};
-use codic_core::fleet::{FleetConfig, SharedFleet};
+use codic_core::fleet::{FleetConfig, FleetHandle};
 use codic_core::ops::{CodicOp, VariantId};
 use codic_core::pool::{DevicePool, ServedOp};
 use codic_dram::geometry::DramGeometry;
 use codic_dram::timing::TimingParams;
 use proptest::prelude::*;
+use std::sync::Barrier;
 
 /// Deterministically picks a typed op (rows kept in-module for a 64 MB
 /// device) — row operations of every kind plus plain read/write traffic.
@@ -156,7 +157,7 @@ fn fleet_run(
     check_quota: bool,
     recycled: bool,
 ) -> Vec<Vec<Emitted>> {
-    let mut fleet = SharedFleet::new(FleetConfig::new(
+    let fleet = FleetHandle::new(FleetConfig::new(
         tenants.len(),
         shards_per_slot,
         device.clone(),
@@ -164,7 +165,7 @@ fn fleet_run(
     if recycled {
         let previous: Vec<_> = tenants
             .iter()
-            .map(|t| fleet.acquire_with(t.quota).expect("free slot"))
+            .map(|t| fleet.acquire_with(1, t.quota).expect("free slot"))
             .collect();
         for (id, load) in previous.iter().zip(tenants) {
             fleet.submit(*id, &load.ops).expect("in range");
@@ -174,11 +175,11 @@ fn fleet_run(
     }
     let ids: Vec<_> = tenants
         .iter()
-        .map(|t| fleet.acquire_with(t.quota).expect("free slot"))
+        .map(|t| fleet.acquire_with(1, t.quota).expect("free slot"))
         .collect();
     let mut cursors = vec![0usize; tenants.len()];
     let mut streams: Vec<Vec<Emitted>> = tenants.iter().map(|_| Vec::new()).collect();
-    let mut submit_next = |fleet: &mut SharedFleet, t: usize| -> bool {
+    let mut submit_next = |t: usize| -> bool {
         let load = &tenants[t];
         if cursors[t] >= load.ops.len() {
             return false;
@@ -198,13 +199,13 @@ fn fleet_run(
         true
     };
     for &pick in order {
-        submit_next(&mut fleet, usize::from(pick) % tenants.len());
+        submit_next(usize::from(pick) % tenants.len());
     }
     // Whatever the interleaving didn't cover drains round-robin.
     loop {
         let mut any = false;
         for t in 0..tenants.len() {
-            any |= submit_next(&mut fleet, t);
+            any |= submit_next(t);
         }
         if !any {
             break;
@@ -219,6 +220,83 @@ fn fleet_run(
         fleet.release(id);
     }
     streams
+}
+
+/// A seeded op stream (splitmix64 over [`arbitrary_op`]).
+fn seeded_ops(seed: u64, len: usize) -> Vec<CodicOp> {
+    let mut state = seed;
+    (0..len)
+        .map(|_| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            arbitrary_op(z as u8, (z >> 8) as u8, z >> 16)
+        })
+        .collect()
+}
+
+/// Two or three tenants, each on its own thread, serve their workloads
+/// on one fleet at the same time: submissions, quota stepping, flushes,
+/// releases and re-acquisitions really overlap, each under its own slot
+/// lock. Every tenancy's stream must still be bit-identical to its solo
+/// run, fault-free and under seeded misfires.
+#[test]
+fn concurrent_tenant_threads_match_their_solo_runs() {
+    const ROUNDS: usize = 2;
+    for seed in 0..4u64 {
+        let tenants = 2 + (seed as usize % 2);
+        let plan = (seed >= 2).then(|| FaultPlan::new(seed).with_misfires(6000));
+        let retry = RetryPolicy::attempts(2).with_backoff(16, 256);
+        let device = device_config(plan, retry);
+        let loads: Vec<TenantLoad> = (0..tenants)
+            .map(|t| TenantLoad {
+                ops: seeded_ops(seed * 16 + t as u64, 2000),
+                batch: 8 + 8 * t,
+                quota: 16 + 24 * t,
+            })
+            .collect();
+        let fleet = FleetHandle::new(FleetConfig::new(tenants, 2, device.clone()));
+        let start = Barrier::new(tenants);
+        let streams: Vec<Vec<Vec<Emitted>>> = std::thread::scope(|scope| {
+            let threads: Vec<_> = loads
+                .iter()
+                .map(|load| {
+                    let (fleet, start) = (&fleet, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..ROUNDS)
+                            .map(|_| {
+                                let id = fleet.acquire_with(1, load.quota).expect("free slot");
+                                let mut stream = Vec::new();
+                                for chunk in load.ops.chunks(load.batch) {
+                                    let (_, events) = fleet.submit(id, chunk).expect("in range");
+                                    stream.extend(emitted(&events));
+                                }
+                                stream.extend(emitted(&fleet.flush(id).1));
+                                fleet.release(id);
+                                stream
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .map(|t| t.join().expect("tenant thread"))
+                .collect()
+        });
+        for (t, load) in loads.iter().enumerate() {
+            let solo = solo_run(2, &device, &load.ops, load.batch, load.quota);
+            for (round, stream) in streams[t].iter().enumerate() {
+                assert_eq!(
+                    stream, &solo,
+                    "seed {seed}: tenant {t} round {round} diverged from its solo run"
+                );
+            }
+        }
+    }
 }
 
 /// Raw proptest tuple: (packed ops, batch size, quota).

@@ -6,7 +6,7 @@
 //! cold-boot row operations plus ordinary read/write traffic) into
 //! typed [`CodicOp`](codic_core::ops::CodicOp)s, submits them into the
 //! session's tenant lease on a
-//! [`SharedFleet`](codic_core::fleet::SharedFleet) (or its pipelined
+//! [`FleetHandle`](codic_core::fleet::FleetHandle) (or its pipelined
 //! shard workers), drives the shard clocks, and streams typed
 //! completions (finish cycle plus accounted energy) back per
 //! connection; `replay-client`

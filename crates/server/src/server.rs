@@ -2,12 +2,12 @@
 //! tenant lease on a device fleet.
 //!
 //! Each connection is one independent session, served on its own
-//! thread. By default a session gets a private one-slot
-//! [`SharedFleet`](codic_core::fleet::SharedFleet) (its own shard
-//! clocks, mode registers, and policy state) and leases its only slot;
-//! with [`ServerConfig::fleet_slots`] every session leases a slot of one
-//! fleet shared by the whole server. The per-session serving loop is
-//! [`ReplayEngine`], and inside the lease it runs one discipline:
+//! thread. By default a session gets a private one-slot [`FleetHandle`]
+//! (its own shard clocks, mode registers, and policy state) and leases
+//! its only slot; with [`ServerConfig::fleet_slots`] every session
+//! leases a slot of one fleet shared by the whole server. The
+//! per-session serving loop is [`ReplayEngine`], and inside the lease it
+//! runs one discipline:
 //!
 //! 1. a decoded [`Frame::Batch`] is submitted all-or-nothing through
 //!    [`FleetHandle::submit`] (a rejected batch turns into one `Error`
@@ -113,13 +113,11 @@ pub struct ServerConfig {
     pub journal_max_bytes: usize,
     /// Tenant slots in the shared fleet (`--fleet-slots`; 0 = a private
     /// one-slot fleet per session, the default). With `N > 0` every
-    /// session is served from one
-    /// [`SharedFleet`](codic_core::fleet::SharedFleet) carved into `N`
-    /// leases of [`ServerConfig::shards`] shards each: sessions share
-    /// the device array but each tenant's event stream stays
-    /// bit-identical to a private pool of its slot shape. Fleet mode is
-    /// incompatible with [`ServerConfig::workers`] (the fleet *is* the
-    /// serving substrate).
+    /// session is served from one [`FleetHandle`] of `N` slots of
+    /// [`ServerConfig::shards`] shards each: sessions share the fleet
+    /// but each tenant's event stream stays bit-identical to a private
+    /// pool of its slot shape. Fleet mode is incompatible with
+    /// [`ServerConfig::workers`] (the fleet *is* the serving substrate).
     pub fleet_slots: usize,
 }
 
