@@ -1,15 +1,14 @@
 //! A shared device fleet multiplexing many tenants over disjoint slots
 //! of devices.
 //!
-//! [`FleetHandle`] is the substrate every non-worker session is served
-//! from: fixed-size *slots*, each owning its own shards, with each
-//! tenant holding an exclusive [`ShardLease`] over its slot. A private
-//! session is the only tenant of a one-slot fleet. Two properties define
-//! the design:
+//! [`FleetHandle`] is the substrate every session is served from:
+//! fixed-size *slots*, each owning its own shards, with each tenant
+//! holding an exclusive lease over its slot. A private session is the
+//! only tenant of a one-slot fleet. Two properties define the design:
 //!
-//! - **Isolation by construction.** A tenant's lease routes, quarantines,
-//!   and drives clocks with the *same* [`ShardLease`] machinery a private
-//!   [`DevicePool`](crate::pool::DevicePool) uses over its own shards,
+//! - **Isolation by construction.** A tenant's slot routes, quarantines,
+//!   and drives clocks with the *same* [`ShardLease`](crate::pool::ShardLease)
+//!   machinery a private [`DevicePool`] uses over its own shards,
 //!   against devices built fresh for the tenancy with lease-local fault
 //!   seeding. A tenant's event stream — sequence numbers, lease-local
 //!   shard indices, finish cycles, energy bits, fingerprints, typed
@@ -18,14 +17,21 @@
 //!   test battery in `tests/fleet_isolation.rs` pins this, not just
 //!   claims it.
 //! - **Quota backpressure.** After every submission the tenant's *own*
-//!   lease is stepped until its outstanding count is back under its
-//!   quota, the way a private serving engine bounds its window. Quotas
-//!   shape host-side work only; they never touch another tenant's
-//!   clocks.
+//!   shards are stepped until its outstanding count is back under its
+//!   quota. Quotas shape host-side work only; they never touch another
+//!   tenant's clocks.
+//!
+//! A slot drives its shards in one of two ways, picked for the whole
+//! fleet by [`FleetConfig::workers`]: *inline*, stepping a [`DevicePool`]
+//! on the calling tenant's thread, or *threaded*, through one
+//! [`ShardWorkers`] thread per shard. The tenant discipline — routed
+//! all-or-nothing submission, quota stepping, a health check at the
+//! batch boundary, a `(finish_cycle, seq)` drain — is written once over
+//! either driver, and both emit the same stream bit for bit.
 //!
 //! Admission is direct: [`FleetHandle::submit`] runs the batch through
-//! the tenant's lease and returns the events that drained. There is no
-//! cross-tenant scheduler. Each slot keeps its devices and its tenancy
+//! the tenant's slot and returns the events that drained. There is no
+//! cross-tenant scheduler. Each slot keeps its driver and its tenancy
 //! behind a lock of its own, so serving calls lock only the caller's
 //! slot and tenants on different slots run in parallel. Only acquiring
 //! and releasing a slot touch the fleet's small registry of who holds
@@ -66,12 +72,13 @@
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::device::{CodicDevice, DeviceConfig};
+use crate::device::DeviceConfig;
 use crate::error::CodicError;
 use crate::executor::OpFuture;
 use crate::fault::HealthPolicy;
 use crate::ops::CodicOp;
-use crate::pool::{shard_device, ServedOp, ShardHealth, ShardLease};
+use crate::pool::{DevicePool, ServedOp, ShardHealth};
+use crate::worker::ShardWorkers;
 
 /// Static shape of a fleet.
 #[derive(Debug, Clone)]
@@ -91,11 +98,17 @@ pub struct FleetConfig {
     pub quota: usize,
     /// Self-quarantine policy applied to every tenant's lease.
     pub health: HealthPolicy,
+    /// Drive each slot's shards through [`ShardWorkers`] — one thread
+    /// per shard, so a fleet holds `slots × shards_per_slot` of them —
+    /// instead of inline on the tenant's thread. The streams are
+    /// bit-identical either way.
+    pub workers: bool,
 }
 
 impl FleetConfig {
     /// A fleet of `slots` tenant slots, `shards_per_slot` shards each,
-    /// with the default quota (1024 ops) and health policy.
+    /// driven inline, with the default quota (1024 ops) and health
+    /// policy.
     #[must_use]
     pub fn new(slots: usize, shards_per_slot: usize, device: DeviceConfig) -> Self {
         FleetConfig {
@@ -104,6 +117,7 @@ impl FleetConfig {
             device,
             quota: 1024,
             health: HealthPolicy::default(),
+            workers: false,
         }
     }
 
@@ -118,6 +132,14 @@ impl FleetConfig {
     #[must_use]
     pub fn with_health(mut self, health: HealthPolicy) -> Self {
         self.health = health;
+        self
+    }
+
+    /// Picks the slot driver: `true` drives every slot through
+    /// [`ShardWorkers`] threads (see [`FleetConfig::workers`]).
+    #[must_use]
+    pub fn with_workers(mut self, workers: bool) -> Self {
+        self.workers = workers;
         self
     }
 }
@@ -149,72 +171,163 @@ pub struct AdmitReceipt {
     pub accepted: u32,
 }
 
-/// One live tenancy: the lease plus everything a private serving engine
-/// would keep per session.
+/// How a slot drives its shards. Either driver owns the slot's devices
+/// and the lease routing over them, built the way a private pool of
+/// `shards_per_slot` shards builds them (the base fault plan, if any,
+/// derived by **lease-local** shard index), and rebuilt whenever a
+/// previous tenant has used them.
+enum Driver {
+    /// Stepped on the calling tenant's thread, with the admitted, not
+    /// yet completed futures as `(seq, lease-local shard, future)`.
+    Inline(DevicePool, Vec<(u64, u16, OpFuture)>),
+    /// One worker thread per shard.
+    Threaded(ShardWorkers),
+}
+
+impl Driver {
+    fn build(config: &FleetConfig) -> Self {
+        let (shards, device) = (config.shards_per_slot, &config.device);
+        if config.workers {
+            let mut workers = ShardWorkers::launch(shards, device);
+            workers.set_health_policy(config.health);
+            Driver::Threaded(workers)
+        } else {
+            let mut pool = DevicePool::new(shards, device);
+            pool.set_health_policy(config.health);
+            Driver::Inline(pool, Vec::new())
+        }
+    }
+
+    /// Routes and enqueues a batch all-or-nothing, numbering its ops
+    /// from `seq_base`.
+    fn submit(&mut self, seq_base: u64, ops: &[CodicOp]) -> Result<(), CodicError> {
+        match self {
+            Driver::Inline(pool, inflight) => {
+                let routed = pool.submit_all_async_routed(ops)?;
+                let numbered = (seq_base..).zip(routed);
+                inflight.extend(numbered.map(|(seq, (shard, future))| (seq, shard as u16, future)));
+            }
+            Driver::Threaded(workers) => {
+                workers.submit_batch(seq_base, ops)?;
+                // A barrier, so the outstanding count the quota loop
+                // reads includes this batch.
+                workers.sync();
+            }
+        }
+        Ok(())
+    }
+
+    fn outstanding(&self) -> usize {
+        match self {
+            Driver::Inline(pool, _) => pool.outstanding(),
+            Driver::Threaded(workers) => workers.outstanding(),
+        }
+    }
+
+    /// Advances every busy shard by one engine event; `false` when none
+    /// could advance.
+    fn step(&mut self) -> bool {
+        match self {
+            Driver::Inline(pool, _) => pool.step(),
+            Driver::Threaded(workers) => workers.step_all(),
+        }
+    }
+
+    fn check_health(&mut self) {
+        match self {
+            Driver::Inline(pool, _) => pool.check_health(),
+            Driver::Threaded(workers) => workers.check_health(),
+        };
+    }
+
+    fn run_to_idle(&mut self) {
+        match self {
+            Driver::Inline(pool, _) => {
+                pool.run_to_idle();
+            }
+            Driver::Threaded(workers) => workers.run_to_idle(),
+        }
+    }
+
+    /// The slowest shard's cycle.
+    fn now_max(&self) -> u64 {
+        match self {
+            Driver::Inline(pool, _) => pool.now_max(),
+            Driver::Threaded(workers) => workers.now_max(),
+        }
+    }
+
+    fn health(&self) -> &[ShardHealth] {
+        match self {
+            Driver::Inline(pool, _) => pool.health(),
+            Driver::Threaded(workers) => workers.health(),
+        }
+    }
+
+    /// Takes everything completed since the last drain, ordered by
+    /// `(finish_cycle, seq)`: ascending finish cycle, ties broken by
+    /// submission sequence (a total order, so the interleaving across
+    /// shards — and across worker threads — is deterministic).
+    fn drain(&mut self) -> Vec<ServedOp> {
+        let mut ready = match self {
+            Driver::Inline(_, inflight) => {
+                let mut ready = Vec::new();
+                inflight.retain_mut(|(seq, shard, future)| match future.try_take() {
+                    Some(completion) => {
+                        ready.push(ServedOp {
+                            seq: *seq,
+                            shard: *shard,
+                            completion,
+                        });
+                        false
+                    }
+                    None => true,
+                });
+                ready
+            }
+            Driver::Threaded(workers) => workers.drain_ready(),
+        };
+        ready.sort_by_key(|e| (e.completion.finish_cycle, e.seq));
+        ready
+    }
+}
+
+/// One live tenancy: what the fleet keeps per tenant beside its slot's
+/// driver.
 #[derive(Debug)]
 struct Tenant {
     epoch: u64,
-    lease: ShardLease,
-    /// Outstanding-op quota enforced by stepping the tenant's own lease.
+    /// Outstanding-op quota enforced by stepping the tenant's own slot.
     quota: usize,
     /// Next tenant-stream sequence number.
     next_seq: u64,
-    /// Admitted, not yet completed: `(seq, lease-local shard, future)`.
-    inflight: Vec<(u64, u16, OpFuture)>,
-    scratch: Vec<(u64, u16, OpFuture)>,
 }
 
 impl Tenant {
-    /// The private serving engine's submission discipline, confined to
-    /// the tenant's lease: all-or-nothing routed submission, quota
-    /// backpressure stepping only this tenant's shards, health check at
-    /// the batch boundary, then a non-blocking drain. Every clock this
-    /// touches belongs to the tenant's own slot, so no other tenant's
-    /// device timeline can be perturbed.
+    /// The serving discipline, confined to the tenant's slot:
+    /// all-or-nothing routed submission, quota backpressure stepping
+    /// only this slot's shards, a health check at the batch boundary,
+    /// then a non-blocking drain. Every clock this touches belongs to
+    /// the tenant's own slot, so no other tenant's device timeline can
+    /// be perturbed.
     fn admit(
         &mut self,
-        devices: &mut [CodicDevice],
+        driver: &mut Driver,
         ops: &[CodicOp],
     ) -> Result<(AdmitReceipt, Vec<ServedOp>), CodicError> {
-        let routed = self.lease.submit_all_async_routed(devices, ops)?;
-        let seq_base = self.next_seq;
-        for (local, future) in routed {
-            self.inflight.push((self.next_seq, local as u16, future));
-            self.next_seq += 1;
-        }
-        while self.lease.outstanding(devices) > self.quota {
-            if !self.lease.step(devices) {
+        driver.submit(self.next_seq, ops)?;
+        let receipt = AdmitReceipt {
+            seq_base: self.next_seq,
+            accepted: ops.len() as u32,
+        };
+        self.next_seq += ops.len() as u64;
+        while driver.outstanding() > self.quota {
+            if !driver.step() {
                 break;
             }
         }
-        self.lease.check_health(devices);
-        let receipt = AdmitReceipt {
-            seq_base,
-            accepted: ops.len() as u32,
-        };
-        Ok((receipt, self.drain()))
-    }
-
-    /// Takes every resolved in-flight future, ordered by
-    /// `(finish_cycle, seq)`: ascending finish cycle, ties broken by
-    /// submission sequence (a total order, so the interleaving across
-    /// shards is deterministic).
-    fn drain(&mut self) -> Vec<ServedOp> {
-        let mut ready = Vec::new();
-        self.scratch.clear();
-        for (seq, shard, mut future) in self.inflight.drain(..) {
-            match future.try_take() {
-                Some(completion) => ready.push(ServedOp {
-                    seq,
-                    shard,
-                    completion,
-                }),
-                None => self.scratch.push((seq, shard, future)),
-            }
-        }
-        std::mem::swap(&mut self.inflight, &mut self.scratch);
-        ready.sort_by_key(|e| (e.completion.finish_cycle, e.seq));
-        ready
+        driver.check_health();
+        Ok((receipt, driver.drain()))
     }
 }
 
@@ -236,9 +349,10 @@ struct Registry {
     epoch: u64,
 }
 
-/// One slot: the shards it owns and its live tenancy, if any.
+/// One slot: the driver of the shards it owns and its live tenancy, if
+/// any.
 struct SlotBody {
-    devices: Vec<CodicDevice>,
+    driver: Driver,
     tenant: Option<Tenant>,
 }
 
@@ -259,15 +373,6 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The shards of one slot, built the way a private pool of
-/// `shards_per_slot` shards builds them (the base fault plan, if any,
-/// derived by **lease-local** shard index).
-fn slot_devices(config: &FleetConfig) -> Vec<CodicDevice> {
-    (0..config.shards_per_slot)
-        .map(|local| shard_device(&config.device, local))
-        .collect()
-}
-
 /// The shared fleet: slots of disjoint shards, each behind its own lock,
 /// leased one per tenant. Cloneable and thread-safe, the form the
 /// server's one-thread-per-session model consumes. See the
@@ -283,13 +388,14 @@ impl fmt::Debug for FleetHandle {
             .field("slots", &self.slots())
             .field("free_slots", &self.free_slots())
             .field("shards_per_slot", &self.shards_per_slot())
+            .field("workers", &self.inner.config.workers)
             .finish()
     }
 }
 
 impl FleetHandle {
-    /// Builds the fleet, all slots free, each slot's shards built once
-    /// here (see [`FleetHandle::acquire_with`] for when they are rebuilt).
+    /// Builds the fleet, all slots free, each slot's driver built once
+    /// here (see [`FleetHandle::acquire_with`] for when it is rebuilt).
     ///
     /// # Panics
     ///
@@ -309,7 +415,7 @@ impl FleetHandle {
             slots: (0..config.slots)
                 .map(|_| {
                     Mutex::new(SlotBody {
-                        devices: slot_devices(&config),
+                        driver: Driver::build(&config),
                         tenant: None,
                     })
                 })
@@ -357,11 +463,10 @@ impl FleetHandle {
     /// The tenant gets factory-fresh devices: local shard `l` runs
     /// `plan.for_shard(l)`, exactly what [`DevicePool::new`] builds for a
     /// private pool of `shards_per_slot` shards. A slot's first tenancy
-    /// takes the devices built with the fleet; a slot a previous tenant
-    /// held is rebuilt here. That, plus the lease's own routing and
+    /// takes the driver built with the fleet; a slot a previous tenant
+    /// held gets a new driver here (the old one's worker threads, if
+    /// any, are joined first). That, plus the driver's own routing and
     /// health state, is the whole solo-equivalence argument.
-    ///
-    /// [`DevicePool::new`]: crate::pool::DevicePool::new
     pub fn acquire_with(&self, weight: u32, quota: usize) -> Option<TenantId> {
         let _ = weight;
         let fleet = &*self.inner;
@@ -375,23 +480,18 @@ impl FleetHandle {
         let previous = std::mem::replace(&mut registry.states[slot], SlotState::Held(epoch));
         let mut body = lock(&fleet.slots[slot]);
         if previous == SlotState::Spent {
-            body.devices = slot_devices(&fleet.config);
+            body.driver = Driver::build(&fleet.config);
         }
-        let mut lease = ShardLease::new(fleet.config.shards_per_slot, &fleet.config.device);
-        lease.set_health_policy(fleet.config.health);
         body.tenant = Some(Tenant {
             epoch,
-            lease,
             quota: quota.max(1),
             next_seq: 0,
-            inflight: Vec::new(),
-            scratch: Vec::new(),
         });
         Some(TenantId { slot, epoch })
     }
 
     /// Releases the tenancy, freeing its slot for the next tenant (whose
-    /// acquisition rebuilds the devices).
+    /// acquisition rebuilds the driver).
     ///
     /// # Panics
     ///
@@ -407,29 +507,24 @@ impl FleetHandle {
         lock(&self.inner.slots[id.slot]).tenant = None;
     }
 
-    /// Runs `f` on the tenant and its slot's devices under the slot's
+    /// Runs `f` on the tenant and its slot's driver under the slot's
     /// lock alone.
     ///
     /// # Panics
     ///
     /// Panics on a stale [`TenantId`].
-    fn with_tenant<R>(
-        &self,
-        id: TenantId,
-        f: impl FnOnce(&mut Tenant, &mut [CodicDevice]) -> R,
-    ) -> R {
+    fn with_tenant<R>(&self, id: TenantId, f: impl FnOnce(&mut Tenant, &mut Driver) -> R) -> R {
         let mut body = lock(&self.inner.slots[id.slot]);
-        let SlotBody { devices, tenant } = &mut *body;
+        let SlotBody { driver, tenant } = &mut *body;
         match tenant {
-            Some(t) if t.epoch == id.epoch => f(t, devices),
+            Some(t) if t.epoch == id.epoch => f(t, driver),
             _ => panic!("stale tenant handle for slot {}", id.slot),
         }
     }
 
-    /// Submits one batch into the tenant's lease and returns the receipt
-    /// plus every event of the tenant's stream that drained — exactly
-    /// what a private serving engine's batch submission returns.
-    /// Sequence numbers follow submission order.
+    /// Submits one batch into the tenant's slot and returns the receipt
+    /// plus every event of the tenant's stream that drained. Sequence
+    /// numbers follow submission order.
     ///
     /// # Errors
     ///
@@ -444,36 +539,39 @@ impl FleetHandle {
         id: TenantId,
         ops: &[CodicOp],
     ) -> Result<(AdmitReceipt, Vec<ServedOp>), CodicError> {
-        self.with_tenant(id, |tenant, devices| tenant.admit(devices, ops))
+        self.with_tenant(id, |tenant, driver| tenant.admit(driver, ops))
     }
 
-    /// Flushes the tenancy: runs its lease to idle, applies the health
-    /// policy, drains every event. Returns the slowest leased shard's
-    /// cycle and the drained events. Other tenants' clocks don't move.
+    /// Flushes the tenancy: runs its shards to idle, applies the health
+    /// policy, drains every event. Returns the slowest shard's cycle and
+    /// the drained events. Other tenants' clocks don't move.
     pub fn flush(&self, id: TenantId) -> (u64, Vec<ServedOp>) {
-        self.with_tenant(id, |tenant, devices| {
-            tenant.lease.run_to_idle(devices);
-            tenant.lease.check_health(devices);
-            (tenant.lease.now_max(devices), tenant.drain())
+        self.with_tenant(id, |_, driver| {
+            driver.run_to_idle();
+            driver.check_health();
+            let events = driver.drain();
+            (driver.now_max(), events)
         })
     }
 
-    /// Operations admitted but not yet completed on the tenant's lease.
+    /// Operations admitted but not yet completed on the tenant's slot
+    /// (under the threaded driver, as of its last barrier — exact after
+    /// every [`FleetHandle::submit`] and [`FleetHandle::flush`]).
     #[must_use]
     pub fn outstanding(&self, id: TenantId) -> usize {
-        self.with_tenant(id, |tenant, devices| tenant.lease.outstanding(devices))
+        self.with_tenant(id, |_, driver| driver.outstanding())
     }
 
-    /// The slowest shard cycle on the tenant's lease.
+    /// The slowest shard cycle on the tenant's slot.
     #[must_use]
     pub fn now_max(&self, id: TenantId) -> u64 {
-        self.with_tenant(id, |tenant, devices| tenant.lease.now_max(devices))
+        self.with_tenant(id, |_, driver| driver.now_max())
     }
 
     /// The tenant's per-shard health, lease-local indices.
     #[must_use]
     pub fn health(&self, id: TenantId) -> Vec<ShardHealth> {
-        self.with_tenant(id, |tenant, _| tenant.lease.health().to_vec())
+        self.with_tenant(id, |_, driver| driver.health().to_vec())
     }
 }
 
@@ -574,6 +672,72 @@ mod tests {
             poisoned.2, events,
             "the released slot serves a fresh stream"
         );
+    }
+
+    /// The worker thread ids of `slot`'s driver; empty when inline.
+    fn worker_threads(fleet: &FleetHandle, slot: usize) -> Vec<std::thread::ThreadId> {
+        match &lock(&fleet.inner.slots[slot]).driver {
+            Driver::Inline(..) => Vec::new(),
+            Driver::Threaded(workers) => workers.thread_ids(),
+        }
+    }
+
+    #[test]
+    fn a_tenant_panicking_mid_submit_leaves_its_slot_spent_and_rebuilt() {
+        // A live tenant panics inside its slot's lock with a batch half
+        // served: ops enqueued, shards stepped, nothing drained. Its
+        // release must leave the slot `Spent`, and the next acquire must
+        // rebuild it (joining the old worker threads and launching new
+        // ones under the threaded driver), so the next tenant serves
+        // exactly a fresh fleet's stream.
+        let device = device_config().with_faults(FaultPlan::new(5).with_misfires(4000));
+        let ops = zero_ops(256);
+        for workers in [false, true] {
+            let config = FleetConfig::new(1, 2, device.clone())
+                .with_quota(32)
+                .with_workers(workers);
+            let fleet = FleetHandle::new(config.clone());
+            let doomed = fleet.acquire().expect("slot");
+            fleet.submit(doomed, &ops[..64]).expect("admit");
+            let old_threads = worker_threads(&fleet, 0);
+            assert_eq!(old_threads.len(), if workers { 2 } else { 0 });
+            let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                fleet.with_tenant(doomed, |tenant, driver| {
+                    driver
+                        .submit(tenant.next_seq, &ops[64..128])
+                        .expect("admit");
+                    driver.step();
+                    panic!("tenant dies mid-submit");
+                })
+            }));
+            assert!(hit.is_err(), "the tenant panics");
+            assert!(fleet.inner.slots[0].is_poisoned());
+            fleet.release(doomed);
+            assert_eq!(lock(&fleet.inner.registry).states[0], SlotState::Spent);
+
+            let next = fleet.acquire().expect("the slot is free again");
+            let new_threads = worker_threads(&fleet, 0);
+            assert_eq!(new_threads.len(), old_threads.len());
+            assert!(new_threads.iter().all(|id| !old_threads.contains(id)));
+            let joined = crate::worker::JOINED.lock().expect("joined ids");
+            assert!(old_threads.iter().all(|id| joined.contains(id)));
+            drop(joined);
+            let (_, mut events) = fleet.submit(next, &ops).expect("admit");
+            events.extend(fleet.flush(next).1);
+            fleet.release(next);
+
+            let fresh = FleetHandle::new(config);
+            let t = fresh.acquire().expect("slot");
+            let (_, mut expected) = fresh.submit(t, &ops).expect("admit");
+            expected.extend(fresh.flush(t).1);
+            assert!(expected
+                .iter()
+                .any(|e| e.completion.outcome.cause().is_some()));
+            assert_eq!(
+                events, expected,
+                "workers {workers}: the rebuilt slot moved"
+            );
+        }
     }
 
     #[test]

@@ -35,17 +35,16 @@
 //!   throughput-style workloads, with the async
 //!   [`submit_all_async`](pool::DevicePool::submit_all_async) /
 //!   [`drive`](pool::DevicePool::drive) pair;
-//! - [`spsc`]: bounded std-only single-producer/single-consumer rings,
-//!   the queues that feed per-shard worker threads;
-//! - [`worker`]: the optional pipelined pool mode ([`ShardWorkers`]):
-//!   one thread per shard fed by SPSC rings, drained in deterministic
-//!   per-shard seq order, bit-identical to the inline [`DevicePool`]
-//!   path;
-//! - [`fleet`]: the [`FleetHandle`] every non-worker session is served
-//!   from — slots of disjoint shards, each behind its own lock, leased
-//!   one per tenant with per-tenant quotas and direct admission, each
-//!   tenant's stream bit-identical to a private pool's (a private
-//!   session is the one tenant of a one-slot fleet);
+//! - [`worker`]: the threaded slot driver ([`ShardWorkers`]): one
+//!   thread per shard fed by bounded `std::sync::mpsc` channels, drained
+//!   in deterministic per-shard seq order, bit-identical to the inline
+//!   [`DevicePool`] path;
+//! - [`fleet`]: the [`FleetHandle`] every session is served from —
+//!   slots of disjoint shards, each behind its own lock and driven
+//!   inline or by shard worker threads, leased one per tenant with
+//!   per-tenant quotas and direct admission, each tenant's stream
+//!   bit-identical to a private pool's (a private session is the one
+//!   tenant of a one-slot fleet);
 //! - [`data`]: the lazily materialized compute-region data plane, so
 //!   bulk-bitwise results are value-checked rather than only timed;
 //! - [`simd`]: the bit-serial SIMD planner compiling element-wise vector
@@ -83,7 +82,6 @@ pub mod ops;
 pub mod optimize;
 pub mod pool;
 pub mod simd;
-pub mod spsc;
 pub mod variant;
 pub mod variant_space;
 pub mod worker;

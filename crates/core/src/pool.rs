@@ -178,12 +178,13 @@ impl PoolOutcome {
 /// `local` is `devices[local]`, and every routing, quarantine, and
 /// clock-driving decision consults only the lease's own health table. A
 /// [`DevicePool`] routes all of its own traffic through one whole-pool
-/// lease, each slot of the shared fleet
+/// lease and the shard workers route with a lease as their table, so
+/// each slot of the shared fleet
 /// ([`FleetHandle`](crate::fleet::FleetHandle)) serves its tenant through
-/// a lease over the slot's own devices, and the shard workers route with
-/// a lease as their table — the *same code path* everywhere, which is what
-/// makes a tenant's stream on a shared fleet bit-identical to a private
-/// pool's by construction rather than by re-implementation.
+/// a lease whichever of the two drives it — the *same code path*
+/// everywhere, which is what makes a tenant's stream on a shared fleet
+/// bit-identical to a private pool's by construction rather than by
+/// re-implementation.
 #[derive(Debug)]
 pub struct ShardLease {
     /// Rows per distribution block: one block spans every bank of a
@@ -450,17 +451,6 @@ impl ShardLease {
             .max()
             .unwrap_or(0)
     }
-
-    /// Operations submitted but not yet completed across the leased
-    /// shards — the lease's backpressure signal.
-    pub(crate) fn outstanding(&self, devices: &[CodicDevice]) -> usize {
-        devices.iter().map(CodicDevice::outstanding).sum()
-    }
-
-    /// The slowest leased shard's current cycle.
-    pub(crate) fn now_max(&self, devices: &[CodicDevice]) -> u64 {
-        devices.iter().map(CodicDevice::now).max().unwrap_or(0)
-    }
 }
 
 /// A pool of identical devices, one per channel/rank shard.
@@ -662,6 +652,12 @@ impl DevicePool {
     #[must_use]
     pub fn outstanding(&self) -> usize {
         self.devices.iter().map(CodicDevice::outstanding).sum()
+    }
+
+    /// The slowest shard's current cycle.
+    #[must_use]
+    pub fn now_max(&self) -> u64 {
+        self.devices.iter().map(CodicDevice::now).max().unwrap_or(0)
     }
 
     /// Removes and returns all completions from every shard, tagged with

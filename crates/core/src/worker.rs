@@ -3,12 +3,14 @@
 //!
 //! [`ShardWorkers`] owns one OS thread per shard. Each thread owns its
 //! shard's [`CodicDevice`] outright and is fed through a bounded
-//! [`spsc`] ring; replies come back over a second ring.
-//! The coordinator (the session thread) keeps only what routing needs —
-//! the block map, the healthy set, and a policy controller for the
-//! all-or-nothing pre-flight — so decode, submission, engine stepping,
-//! and completion encoding overlap across cores instead of serializing
-//! in one thread.
+//! [`std::sync::mpsc::sync_channel`]; replies come back over a second
+//! channel. The coordinator (the tenant's thread) keeps only what
+//! routing needs — the block map, the healthy set, and a policy
+//! controller for the all-or-nothing pre-flight — so decode, submission,
+//! engine stepping, and completion encoding overlap across cores instead
+//! of serializing in one thread. A fleet slot built with
+//! [`FleetConfig::workers`](crate::fleet::FleetConfig::workers) drives
+//! its shards through one of these.
 //!
 //! # Determinism
 //!
@@ -18,7 +20,7 @@
 //! engine is actually concurrent per shard:
 //!
 //! - device state is strictly per-shard, and each worker applies its
-//!   ring items in FIFO order, so every shard sees exactly the op
+//!   work items in FIFO order, so every shard sees exactly the op
 //!   sequence the inline pool would have given it;
 //! - [`ShardWorkers::step_all`] advances every busy shard by one engine
 //!   event in lockstep — the same global round a
@@ -38,6 +40,7 @@
 //! determinism proptests pin.
 
 use std::collections::VecDeque;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
 use crate::device::{CodicDevice, DeviceConfig, OpCompletion};
@@ -47,7 +50,6 @@ use crate::fault::{FaultCause, FaultStats, HealthPolicy};
 use crate::interface::CodicController;
 use crate::ops::CodicOp;
 use crate::pool::{shard_device, ServedOp, ShardHealth, ShardLease};
-use crate::spsc;
 
 /// Work items travelling coordinator → worker.
 enum WorkItem {
@@ -66,12 +68,10 @@ enum WorkItem {
         /// Why the shard is being condemned.
         cause: FaultCause,
     },
-    /// Exit the worker loop.
-    Shutdown,
 }
 
 /// One worker's state snapshot, refreshed on every reply.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct WorkerStatus {
     outstanding: usize,
     stalled: bool,
@@ -79,8 +79,8 @@ struct WorkerStatus {
     now: u64,
 }
 
-/// Reply to a synchronizing work item (everything but `Submit` and
-/// `Shutdown` produces exactly one).
+/// Reply to a synchronizing work item (everything but `Submit`
+/// produces exactly one).
 struct Reply {
     /// Newly-completed operations, in per-shard seq order.
     ready: Vec<(u64, OpCompletion)>,
@@ -93,34 +93,36 @@ struct Reply {
 }
 
 struct WorkerLink {
-    tx: spsc::Sender<WorkItem>,
-    rx: spsc::Receiver<Reply>,
-    thread: Option<JoinHandle<()>>,
+    tx: SyncSender<WorkItem>,
+    rx: Receiver<Reply>,
+    thread: JoinHandle<()>,
 }
 
 impl WorkerLink {
-    fn send(&mut self, item: WorkItem) {
+    fn send(&self, item: WorkItem) {
         assert!(
             self.tx.send(item).is_ok(),
             "shard worker thread exited early"
         );
     }
 
-    fn recv(&mut self) -> Reply {
+    fn recv(&self) -> Reply {
         self.rx.recv().expect("shard worker thread exited early")
     }
 }
 
 /// The pipelined twin of [`DevicePool`](crate::pool::DevicePool): one
-/// thread per shard, fed by SPSC rings, drained at explicit barriers.
+/// thread per shard, fed by bounded channels, drained at explicit
+/// barriers.
 ///
 /// See the [module docs](self) for the determinism contract.
 pub struct ShardWorkers {
     workers: Vec<WorkerLink>,
     /// Last-known per-worker status, refreshed on every reply.
     status: Vec<WorkerStatus>,
-    /// Completions produced outside a drain (quarantine fallout),
-    /// delivered with the next [`ShardWorkers::drain_ready`].
+    /// Completions gathered outside a drain (an earlier barrier, a run
+    /// to idle, quarantine fallout), delivered with the next
+    /// [`ShardWorkers::drain_ready`].
     stash: Vec<ServedOp>,
     /// Routing and health state: the pool's own lease machinery, so the
     /// block map, the quarantine re-route and the health rule are the
@@ -147,41 +149,23 @@ impl ShardWorkers {
         let workers = (0..shards)
             .map(|shard| {
                 let device = shard_device(config, shard);
-                let (tx, work_rx) = spsc::channel::<WorkItem>(1024);
-                let (reply_tx, rx) = spsc::channel::<Reply>(4);
+                let (tx, work_rx) = sync_channel::<WorkItem>(1024);
+                let (reply_tx, rx) = sync_channel::<Reply>(4);
                 let thread = std::thread::Builder::new()
                     .name(format!("codic-shard-{shard}"))
-                    .spawn(move || worker_loop(device, work_rx, reply_tx))
+                    .spawn(move || worker_loop(device, &work_rx, &reply_tx))
                     .expect("spawn shard worker");
-                WorkerLink {
-                    tx,
-                    rx,
-                    thread: Some(thread),
-                }
+                WorkerLink { tx, rx, thread }
             })
             .collect();
         ShardWorkers {
             workers,
-            status: vec![
-                WorkerStatus {
-                    outstanding: 0,
-                    stalled: false,
-                    stats: FaultStats::default(),
-                    now: 0,
-                };
-                shards
-            ],
+            status: vec![WorkerStatus::default(); shards],
             stash: Vec::new(),
             routes: ShardLease::new(shards, config),
             policy: CodicController::new(config.safe_range.clone())
                 .with_compute_range(config.compute_range()),
         }
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.workers.len()
     }
 
     /// Per-shard health states, indexed by shard.
@@ -233,13 +217,21 @@ impl ShardWorkers {
         Ok(shards)
     }
 
-    /// Barrier: synchronizes with every worker, refreshes statuses, and
-    /// returns everything newly completed (stashed quarantine fallout
-    /// included), unsorted — callers merge shards by sorting on
-    /// `(finish_cycle, seq)`.
-    pub fn drain_ready(&mut self) -> Vec<ServedOp> {
+    /// Barrier: synchronizes with every worker, refreshes the statuses
+    /// [`ShardWorkers::outstanding`] reads, and stashes everything newly
+    /// completed for the next [`ShardWorkers::drain_ready`]. Drains never
+    /// advance a device, so a barrier moves no clock.
+    pub fn sync(&mut self) {
         let replies = self.sync_all(|| WorkItem::Barrier);
-        self.absorb(replies)
+        self.absorb(replies);
+    }
+
+    /// Barrier, then returns everything completed since the last drain
+    /// (stashed completions and quarantine fallout included), unsorted —
+    /// callers merge shards by sorting on `(finish_cycle, seq)`.
+    pub fn drain_ready(&mut self) -> Vec<ServedOp> {
+        self.sync();
+        std::mem::take(&mut self.stash)
     }
 
     /// Advances every busy shard by one engine event, in lockstep — one
@@ -251,12 +243,19 @@ impl ShardWorkers {
         replies.iter().any(|reply| reply.advanced)
     }
 
+    /// Runs every shard to idle, stashing what completed for the next
+    /// [`ShardWorkers::drain_ready`].
+    pub fn run_to_idle(&mut self) {
+        let replies = self.sync_all(|| WorkItem::RunToIdle);
+        self.absorb(replies);
+    }
+
     /// Runs every shard to idle and drains — the worker-mode flush.
     /// Returns completions unsorted, like
     /// [`ShardWorkers::drain_ready`].
     pub fn flush(&mut self) -> Vec<ServedOp> {
-        let replies = self.sync_all(|| WorkItem::RunToIdle);
-        self.absorb(replies)
+        self.run_to_idle();
+        std::mem::take(&mut self.stash)
     }
 
     /// Applies the health policy to the statuses gathered at the last
@@ -312,26 +311,24 @@ impl ShardWorkers {
     /// Sends `item()` to every worker first, then collects every reply
     /// — all shards work concurrently instead of round-robin blocking.
     fn sync_all(&mut self, item: impl Fn() -> WorkItem) -> Vec<Reply> {
-        for worker in &mut self.workers {
+        for worker in &self.workers {
             worker.send(item());
         }
-        let replies: Vec<Reply> = self.workers.iter_mut().map(WorkerLink::recv).collect();
+        let replies: Vec<Reply> = self.workers.iter().map(WorkerLink::recv).collect();
         for (shard, reply) in replies.iter().enumerate() {
             self.status[shard] = reply.status;
         }
         replies
     }
 
-    /// Folds a round of replies into the stash-inclusive drain result.
-    fn absorb(&mut self, replies: Vec<Reply>) -> Vec<ServedOp> {
-        let mut out = std::mem::take(&mut self.stash);
+    /// Stashes a round of replies and re-routes what they deferred.
+    fn absorb(&mut self, replies: Vec<Reply>) {
         let mut deferred = Vec::new();
         for (shard, reply) in replies.into_iter().enumerate() {
-            out.extend(tag(shard, reply.ready));
+            self.stash.extend(tag(shard, reply.ready));
             deferred.extend(reply.deferred);
         }
         self.reroute_deferred(deferred);
-        out
     }
 
     /// Re-routes operations a wedged shard could not accept. The shard
@@ -357,19 +354,36 @@ impl ShardWorkers {
             self.workers[shard].send(WorkItem::Submit { seq, op });
         }
     }
+
+    /// The worker threads' ids, in shard order.
+    #[cfg(test)]
+    pub(crate) fn thread_ids(&self) -> Vec<std::thread::ThreadId> {
+        self.workers
+            .iter()
+            .map(|w| w.thread.thread().id())
+            .collect()
+    }
 }
 
+/// Every worker thread a drop has joined, so tests can check that a
+/// rebuilt fleet slot's old threads are gone.
+#[cfg(test)]
+pub(crate) static JOINED: std::sync::Mutex<Vec<std::thread::ThreadId>> =
+    std::sync::Mutex::new(Vec::new());
+
 impl Drop for ShardWorkers {
+    /// Closes every channel, which ends each worker loop once it has
+    /// applied what was already queued, then joins the threads. A
+    /// worker that panicked has already surfaced as the coordinator's
+    /// "exited early" panic, so its join result is not re-raised here.
     fn drop(&mut self) {
-        for worker in &mut self.workers {
-            // The ring may already be closed if the thread panicked;
-            // either way the join below surfaces the worker's fate.
-            let _ = worker.tx.send(WorkItem::Shutdown);
-        }
-        for worker in &mut self.workers {
-            if let Some(thread) = worker.thread.take() {
-                thread.join().expect("shard worker panicked");
-            }
+        let threads: Vec<JoinHandle<()>> = self.workers.drain(..).map(|w| w.thread).collect();
+        for thread in threads {
+            #[cfg(test)]
+            let id = thread.thread().id();
+            let _ = thread.join();
+            #[cfg(test)]
+            JOINED.lock().expect("joined ids").push(id);
         }
     }
 }
@@ -383,14 +397,11 @@ fn tag(shard: usize, ready: Vec<(u64, OpCompletion)>) -> impl Iterator<Item = Se
     })
 }
 
-/// The worker thread: applies ring items in FIFO order against its own
+/// The worker thread: applies work items in FIFO order against its own
 /// device; never touches the device between items, so the engine
 /// advances only when the coordinator says so (the determinism rule).
-fn worker_loop(
-    mut device: CodicDevice,
-    mut rx: spsc::Receiver<WorkItem>,
-    mut tx: spsc::Sender<Reply>,
-) {
+/// Returns once either channel is closed.
+fn worker_loop(mut device: CodicDevice, rx: &Receiver<WorkItem>, tx: &SyncSender<Reply>) {
     // In-flight futures in submission (= seq) order; drains scan from
     // the front so `ready` is always in per-shard seq order.
     let mut pending: VecDeque<(u64, OpFuture)> = VecDeque::new();
@@ -413,7 +424,7 @@ fn worker_loop(
         });
         ready
     };
-    while let Some(item) = rx.recv() {
+    while let Ok(item) = rx.recv() {
         let reply = match item {
             WorkItem::Submit { seq, op } => {
                 // A wedged device (stuck clock, full queue) defers this
@@ -466,7 +477,6 @@ fn worker_loop(
                     advanced: false,
                 }
             }
-            WorkItem::Shutdown => break,
         };
         if tx.send(reply).is_err() {
             break;

@@ -4,16 +4,17 @@
 //! sequence numbers, lease-local shards, finish cycles, busy cycles,
 //! energy bits, outcomes, attempts, fingerprints — for random tenant
 //! mixes, batch splits, quotas, and interleavings, fault-free and under
-//! seeded misfire/stuck-clock injection.
+//! seeded misfire/stuck-clock injection, with each slot driven inline
+//! or by shard worker threads.
 //!
 //! The solo reference is not the fleet run twice: it is the serving
 //! discipline written out by hand (routed async submission,
 //! step-at-a-time quota backpressure, a health check at every batch
 //! boundary, `(finish_cycle, seq)` drain order), run on a `DevicePool`
-//! of the tenant's slot shape. Every non-worker session is served as a
-//! fleet tenant — a private session is the one tenant of a one-slot
-//! fleet, the one-tenant case here — so this reference pins private and
-//! shared serving alike. If the fleet's carving, slot recycling, or
+//! of the tenant's slot shape. Every session is served as a fleet
+//! tenant — a private session is the one tenant of a one-slot fleet,
+//! the one-tenant case here — so this reference pins private and shared
+//! serving alike, under either slot driver. If the fleet's carving, slot recycling, or
 //! fault seeding leaked any cross-tenant state, these streams would
 //! diverge.
 
@@ -139,7 +140,20 @@ struct TenantLoad {
     quota: usize,
 }
 
-/// Runs every tenant's workload on one shared fleet, submitting batches
+/// A fleet with one slot per tenant, each slot driven inline or, with
+/// `workers`, by shard worker threads.
+fn fleet_for(
+    tenants: &[TenantLoad],
+    shards_per_slot: usize,
+    device: &DeviceConfig,
+    workers: bool,
+) -> FleetHandle {
+    FleetHandle::new(
+        FleetConfig::new(tenants.len(), shards_per_slot, device.clone()).with_workers(workers),
+    )
+}
+
+/// Runs every tenant's workload on `fleet`, submitting batches
 /// in the interleaving `order` dictates (each entry picks the next
 /// unsubmitted batch of tenant `order[i] % tenants`; leftovers drain
 /// round-robin), and returns each tenant's collected stream.
@@ -150,18 +164,12 @@ struct TenantLoad {
 /// and leave, so the measured tenants get rebuilt slots instead of the
 /// devices built with the fleet.
 fn fleet_run(
+    fleet: &FleetHandle,
     tenants: &[TenantLoad],
-    shards_per_slot: usize,
-    device: &DeviceConfig,
     order: &[u8],
     check_quota: bool,
     recycled: bool,
 ) -> Vec<Vec<Emitted>> {
-    let fleet = FleetHandle::new(FleetConfig::new(
-        tenants.len(),
-        shards_per_slot,
-        device.clone(),
-    ));
     if recycled {
         let previous: Vec<_> = tenants
             .iter()
@@ -241,11 +249,11 @@ fn seeded_ops(seed: u64, len: usize) -> Vec<CodicOp> {
 /// on one fleet at the same time: submissions, quota stepping, flushes,
 /// releases and re-acquisitions really overlap, each under its own slot
 /// lock. Every tenancy's stream must still be bit-identical to its solo
-/// run, fault-free and under seeded misfires.
+/// run, fault-free and under seeded misfires, under either slot driver.
 #[test]
 fn concurrent_tenant_threads_match_their_solo_runs() {
     const ROUNDS: usize = 2;
-    for seed in 0..4u64 {
+    for (seed, workers) in (0..4u64).flat_map(|seed| [(seed, false), (seed, true)]) {
         let tenants = 2 + (seed as usize % 2);
         let plan = (seed >= 2).then(|| FaultPlan::new(seed).with_misfires(6000));
         let retry = RetryPolicy::attempts(2).with_backoff(16, 256);
@@ -257,7 +265,8 @@ fn concurrent_tenant_threads_match_their_solo_runs() {
                 quota: 16 + 24 * t,
             })
             .collect();
-        let fleet = FleetHandle::new(FleetConfig::new(tenants, 2, device.clone()));
+        let fleet =
+            FleetHandle::new(FleetConfig::new(tenants, 2, device.clone()).with_workers(workers));
         let start = Barrier::new(tenants);
         let streams: Vec<Vec<Vec<Emitted>>> = std::thread::scope(|scope| {
             let threads: Vec<_> = loads
@@ -292,7 +301,7 @@ fn concurrent_tenant_threads_match_their_solo_runs() {
             for (round, stream) in streams[t].iter().enumerate() {
                 assert_eq!(
                     stream, &solo,
-                    "seed {seed}: tenant {t} round {round} diverged from its solo run"
+                    "seed {seed}, workers {workers}: tenant {t} round {round} diverged"
                 );
             }
         }
@@ -327,16 +336,19 @@ proptest! {
     /// Fault-free isolation pin: for 1–3 tenants with independent
     /// workloads, batch splits, and quotas, admitted in a random
     /// interleaving, every tenant's stream is bit-identical to its solo
-    /// run — and its quota holds after every submission.
+    /// run — and its quota holds after every submission — whichever
+    /// driver steps the slots.
     #[test]
     fn tenant_streams_are_bit_identical_to_solo_runs(
         raw in proptest::collection::vec(tenant_load_strategy(80), 1..4),
         shards_per_slot in 1usize..3,
         order in proptest::collection::vec(any::<u8>(), 0..48),
+        workers in any::<bool>(),
     ) {
         let tenants = loads(&raw);
         let device = device_config(None, RetryPolicy::default());
-        let streams = fleet_run(&tenants, shards_per_slot, &device, &order, true, false);
+        let fleet = fleet_for(&tenants, shards_per_slot, &device, workers);
+        let streams = fleet_run(&fleet, &tenants, &order, true, false);
         for (t, load) in tenants.iter().enumerate() {
             let solo = solo_run(shards_per_slot, &device, &load.ops, load.batch, load.quota);
             prop_assert_eq!(solo.len(), load.ops.len());
@@ -353,7 +365,8 @@ proptest! {
     /// position in the fleet would leak into its failure stream. A
     /// slot's first tenancy (devices built with the fleet) and a
     /// recycled one (devices rebuilt after a previous tenant) must serve
-    /// the same stream, or the fleet would leak its history.
+    /// the same stream, or the fleet would leak its history. Both hold
+    /// under either slot driver.
     #[test]
     fn faulted_tenant_streams_match_their_solo_runs(
         raw in proptest::collection::vec(tenant_load_strategy(60), 1..4),
@@ -362,13 +375,16 @@ proptest! {
         seed in any::<u64>(),
         per_64k in 1u32..16_000,
         attempts in 1u8..4,
+        workers in any::<bool>(),
     ) {
         let tenants = loads(&raw);
         let plan = FaultPlan::new(seed).with_misfires(per_64k);
         let retry = RetryPolicy::attempts(attempts).with_backoff(16, 256);
         let device = device_config(Some(plan), retry);
-        let streams = fleet_run(&tenants, shards_per_slot, &device, &order, true, false);
-        let recycled = fleet_run(&tenants, shards_per_slot, &device, &order, true, true);
+        let fresh = fleet_for(&tenants, shards_per_slot, &device, workers);
+        let streams = fleet_run(&fresh, &tenants, &order, true, false);
+        let used = fleet_for(&tenants, shards_per_slot, &device, workers);
+        let recycled = fleet_run(&used, &tenants, &order, true, true);
         prop_assert_eq!(&recycled, &streams, "a recycled slot served a different stream");
         for (t, load) in tenants.iter().enumerate() {
             let solo = solo_run(shards_per_slot, &device, &load.ops, load.batch, load.quota);
@@ -384,7 +400,9 @@ proptest! {
     /// inside each lease exactly as it does on a private pool — no
     /// tenant's recovery perturbs another's stream. Quota assertions are
     /// off: a wedged clock legitimately strands outstanding ops, for
-    /// fleet and solo alike.
+    /// fleet and solo alike. Inline driver only: shard workers re-route
+    /// a mid-batch wedge at the next barrier rather than at the op, the
+    /// one documented divergence of the threaded driver.
     #[test]
     fn stuck_clock_recovery_is_solo_identical_per_tenant(
         raw in proptest::collection::vec(tenant_load_strategy(50), 2..4),
@@ -396,7 +414,8 @@ proptest! {
         let plan = FaultPlan::new(seed).with_stuck_shard(0, stuck_cycle);
         let device = device_config(Some(plan), RetryPolicy::default());
         // Two shards per slot so the survivor can absorb re-routes.
-        let streams = fleet_run(&tenants, 2, &device, &order, false, false);
+        let fleet = fleet_for(&tenants, 2, &device, false);
+        let streams = fleet_run(&fleet, &tenants, &order, false, false);
         for (t, load) in tenants.iter().enumerate() {
             let solo = solo_run(2, &device, &load.ops, load.batch, load.quota);
             prop_assert_eq!(

@@ -40,7 +40,8 @@
 //! `--stuck-shard`/`--stuck-at`, `--retry-attempts`), which is how the
 //! chaos smoke pins the faulted stream, `--workers` (pipelined
 //! shard workers on the in-process server), and `--fleet-slots`
-//! (shared-fleet serving). With `--self-serve --tcp 127.0.0.1:0` the
+//! (shared-fleet serving; it composes with `--workers`). With
+//! `--self-serve --tcp 127.0.0.1:0` the
 //! in-process server also binds an ephemeral TCP port and the replay
 //! runs over it. `--verify` replays the identical
 //! batching discipline in process and demands the socket stream be
@@ -59,6 +60,11 @@
 //! `--self-serve` it also configures the in-process server, so a shared
 //! fleet (whose substrate is fixed at bind) serves the region too.
 //!
+//! `--shards`, `--module-mib`, `--max-outstanding` and `--compute-rows`
+//! fill `Hello` fields of 16 or 32 bits; a value that does not fit is an
+//! error exit, never a wrapped cast (0 would silently ask for the
+//! server default).
+//!
 //! On success prints a one-object JSON report to stdout.
 
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -68,7 +74,9 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use codic_server::chaos::{self, ChaosPlan};
-use codic_server::cli::{arg, arg_u64, deadline_args, fault_plan_args, has_flag, retry_args};
+use codic_server::cli::{
+    arg, arg_u64, deadline_args, fault_plan_args, has_flag, retry_args, wire_arg,
+};
 use codic_server::client::{
     connect_tcp_with_retry, connect_with_retry, replay_resumable_with, replay_stream,
     replay_with_retry, verify_against_reference, ResumePolicy,
@@ -80,6 +88,19 @@ use codic_server::trace::{format_trace, generate_bulk_bitwise, generate_mixed, p
 fn fail(message: &str) -> ExitCode {
     eprintln!("replay-client: {message}");
     ExitCode::FAILURE
+}
+
+/// The session parameters the `Hello` proposes, from the command line;
+/// a value its wire field cannot hold is an error, not a wrapped cast.
+fn hello_args() -> Result<SessionParams, String> {
+    Ok(SessionParams {
+        shards: wire_arg("--shards")?,
+        module_mib: wire_arg("--module-mib")?,
+        max_outstanding: wire_arg("--max-outstanding")?,
+        target_rows_per_s: wire_arg("--target-rows-per-sec")?,
+        compute_rows: wire_arg("--compute-rows")?,
+        ..SessionParams::defaults()
+    })
 }
 
 fn main() -> ExitCode {
@@ -151,13 +172,9 @@ fn main() -> ExitCode {
         Err(e) => return fail(&e.to_string()),
     };
     let batch = (arg_u64("--batch").unwrap_or(1024).max(1) as usize).min(MAX_BATCH_OPS);
-    let hello = SessionParams {
-        shards: arg_u64("--shards").unwrap_or(0) as u16,
-        module_mib: arg_u64("--module-mib").unwrap_or(0) as u32,
-        max_outstanding: arg_u64("--max-outstanding").unwrap_or(0) as u32,
-        target_rows_per_s: arg_u64("--target-rows-per-sec").unwrap_or(0),
-        compute_rows: arg_u64("--compute-rows").unwrap_or(0) as u32,
-        ..SessionParams::defaults()
+    let hello = match hello_args() {
+        Ok(hello) => hello,
+        Err(e) => return fail(&e),
     };
 
     // Chaos / resume mode: any chaos flag (or an explicit

@@ -24,7 +24,6 @@
 //! carved into N tenant leases of `--shards` shards each; each session's
 //! batches go straight into its own lease, and its stream stays
 //! bit-identical to a private pool of its slot shape.
-//! Incompatible with `--workers`.
 //!
 //! The deadline flags tune session robustness: `--read-timeout-ms` is
 //! how long a session thread parks inside a socket read before
@@ -33,9 +32,10 @@
 //! resume state) honestly, and `--journal-max-kib` caps each
 //! session's resume journal.
 //!
-//! `--workers` serves every session through pipelined shard workers
-//! (one thread per shard behind SPSC rings) instead of a fleet lease;
-//! the completion stream is bit-identical, the host throughput higher.
+//! `--workers` drives every fleet slot's shards through pipelined shard
+//! workers (one thread per shard) instead of inline on the session
+//! thread, with or without `--fleet-slots`; the completion stream is
+//! bit-identical, the host throughput higher.
 //!
 //! `--compute-rows C` reserves the top C rows of every session's module
 //! as the default bulk-bitwise compute region (a `Hello` may request

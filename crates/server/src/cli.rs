@@ -18,6 +18,36 @@ pub fn arg_u64(flag: &str) -> Option<u64> {
     arg(flag).and_then(|v| v.parse().ok())
 }
 
+/// `text`, the value given for `flag`, as a wire field of type `T`
+/// (`u16`, `u32`, …); an absent flag is 0, the wire's "server default".
+///
+/// # Errors
+///
+/// Names the flag and the field's range when `text` is not an integer
+/// that fits `T`, instead of letting a narrowing cast wrap it (to 0,
+/// say, which would silently ask for the server default).
+pub fn wire_field<T: TryFrom<u64> + Default>(flag: &str, text: Option<&str>) -> Result<T, String> {
+    let Some(text) = text else {
+        return Ok(T::default());
+    };
+    text.parse::<u64>()
+        .ok()
+        .and_then(|v| T::try_from(v).ok())
+        .ok_or_else(|| {
+            let max = u64::MAX >> (64 - 8 * std::mem::size_of::<T>());
+            format!("{flag} {text} is not an integer in 0..={max}")
+        })
+}
+
+/// [`wire_field`] of the value following `flag` on the command line.
+///
+/// # Errors
+///
+/// As [`wire_field`].
+pub fn wire_arg<T: TryFrom<u64> + Default>(flag: &str) -> Result<T, String> {
+    wire_field(flag, arg(flag).as_deref())
+}
+
 /// Whether `flag` appears anywhere on the command line.
 #[must_use]
 pub fn has_flag(flag: &str) -> bool {
@@ -78,5 +108,29 @@ pub fn retry_args(default: codic_core::fault::RetryPolicy) -> codic_core::fault:
     match arg_u64("--retry-attempts") {
         Some(n) => codic_core::fault::RetryPolicy::attempts(n.clamp(1, u64::from(u8::MAX)) as u8),
         None => default,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::wire_field;
+
+    #[test]
+    fn wire_fields_reject_what_a_cast_would_wrap() {
+        assert_eq!(wire_field::<u16>("--shards", None), Ok(0));
+        assert_eq!(wire_field::<u16>("--shards", Some("65535")), Ok(u16::MAX));
+        assert_eq!(
+            wire_field::<u16>("--shards", Some("65536")),
+            Err("--shards 65536 is not an integer in 0..=65535".to_string())
+        );
+        assert_eq!(
+            wire_field::<u32>("--module-mib", Some("4294967295")),
+            Ok(u32::MAX)
+        );
+        for bad in ["4294967296", "-1", "8k", ""] {
+            let err = wire_field::<u32>("--max-outstanding", Some(bad)).unwrap_err();
+            assert!(err.starts_with("--max-outstanding "), "{err}");
+            assert!(err.ends_with("0..=4294967295"), "{err}");
+        }
     }
 }

@@ -6,8 +6,9 @@
 //! cold-boot row operations plus ordinary read/write traffic) into
 //! typed [`CodicOp`](codic_core::ops::CodicOp)s, submits them into the
 //! session's tenant lease on a
-//! [`FleetHandle`](codic_core::fleet::FleetHandle) (or its pipelined
-//! shard workers), drives the shard clocks, and streams typed
+//! [`FleetHandle`](codic_core::fleet::FleetHandle) (whose slots drive
+//! their shards inline or through per-shard worker threads), drives the
+//! shard clocks, and streams typed
 //! completions (finish cycle plus accounted energy) back per
 //! connection; `replay-client`
 //! plays a trace file and verifies the completion stream bit-for-bit

@@ -5,9 +5,9 @@
 //! thread. By default a session gets a private one-slot [`FleetHandle`]
 //! (its own shard clocks, mode registers, and policy state) and leases
 //! its only slot; with [`ServerConfig::fleet_slots`] every session
-//! leases a slot of one fleet shared by the whole server. The
-//! per-session serving loop is [`ReplayEngine`], and inside the lease it
-//! runs one discipline:
+//! leases a slot of one fleet shared by the whole server. Either way the
+//! per-session serving loop is [`ReplayEngine`], one fleet lease, and
+//! inside the lease it runs one discipline:
 //!
 //! 1. a decoded [`Frame::Batch`] is submitted all-or-nothing through
 //!    [`FleetHandle::submit`] (a rejected batch turns into one `Error`
@@ -32,8 +32,10 @@
 //! only ever sleeps the host thread, so it cannot perturb cycles.
 //!
 //! [`ServerConfig::workers`] preserves that contract bit for bit: it
-//! runs the engine over pipelined [`ShardWorkers`] (one thread per shard
-//! behind SPSC rings, drained at the same loop points). Only the event
+//! drives each slot's shards through
+//! [`ShardWorkers`](codic_core::worker::ShardWorkers) threads (one per
+//! shard, drained at the same loop points) instead of inline on the
+//! session thread, in private and shared fleets alike. Only the event
 //! *payload* bytes feed the session checksum, so it does not depend on
 //! the frame boundaries.
 //!
@@ -57,7 +59,6 @@ use codic_core::fault::{FaultPlan, HealthPolicy, RetryPolicy};
 use codic_core::fleet::{FleetConfig, FleetHandle, TenantId};
 use codic_core::ops::CodicOp;
 use codic_core::pool::{ServedOp, ShardHealth};
-use codic_core::worker::ShardWorkers;
 use codic_dram::{DramGeometry, TimingParams};
 
 use crate::governor::RateGovernor;
@@ -91,10 +92,13 @@ pub struct ServerConfig {
     /// Default bulk-bitwise compute region, in rows at the top of the
     /// module (0 = compute disabled; a `Hello` may request its own).
     pub compute_rows: u64,
-    /// Serve sessions through pipelined [`ShardWorkers`] (one thread
-    /// per shard, fed by SPSC rings) instead of a one-slot fleet lease.
-    /// The completion stream is bit-identical either way; worker mode
-    /// overlaps decode, engine stepping, and encoding across cores.
+    /// Drive every fleet slot's shards through
+    /// [`ShardWorkers`](codic_core::worker::ShardWorkers) (one thread
+    /// per shard) instead of inline on the session thread
+    /// (`--workers`). It picks the slot driver of private and shared
+    /// fleets alike. The completion stream is bit-identical either way;
+    /// worker threads overlap decode, engine stepping, and encoding
+    /// across cores.
     pub workers: bool,
     /// Socket read timeout in milliseconds: how long a session thread
     /// parks inside a read before re-checking the shutdown flag and the
@@ -116,8 +120,8 @@ pub struct ServerConfig {
     /// session is served from one [`FleetHandle`] of `N` slots of
     /// [`ServerConfig::shards`] shards each: sessions share the fleet
     /// but each tenant's event stream stays bit-identical to a private
-    /// pool of its slot shape. Fleet mode is incompatible with
-    /// [`ServerConfig::workers`] (the fleet *is* the serving substrate).
+    /// pool of its slot shape. [`ServerConfig::workers`] picks how
+    /// every slot drives its shards.
     pub fleet_slots: usize,
 }
 
@@ -150,18 +154,24 @@ impl ServerConfig {
     /// into the effective session parameters of the `HelloAck`.
     #[must_use]
     pub fn negotiate(&self, hello: &SessionParams) -> SessionParams {
+        // Every resolved value is clamped, whether it came from the
+        // client or from the server's own defaults.
         let shards = match hello.shards {
             0 => self.shards,
-            n => (n as usize).min(64),
-        };
+            n => n as usize,
+        }
+        .clamp(1, 64);
+        // Keep the per-session footprint bounded and row-divisible.
         let module_mib = match hello.module_mib {
             0 => self.module_mib,
-            // Keep the per-session footprint bounded and row-divisible.
-            n => u64::from(n).clamp(1, 4096).next_power_of_two(),
-        };
+            n => u64::from(n),
+        }
+        .clamp(1, 4096)
+        .next_power_of_two();
+        let cap = self.max_outstanding.max(1);
         let max_outstanding = match hello.max_outstanding {
-            0 => self.max_outstanding,
-            n => (n as usize).min(self.max_outstanding.max(1)),
+            0 => cap,
+            n => (n as usize).min(cap),
         };
         // quota_ops is an additional bound on the outstanding window —
         // the fleet enforces the effective value as the tenant's quota,
@@ -263,52 +273,26 @@ impl ReplayCompletion {
     }
 }
 
-/// The engine's execution substrate: a tenant lease on a fleet, or one
-/// worker thread per shard behind SPSC rings. Both run the identical
-/// submission discipline; the fleet isolation and worker determinism
-/// tests pin the bit-identity.
-enum EngineCore {
-    /// A tenant lease: the session's ops run on its slot's shards,
-    /// in a stream bit-identical to a private pool of the same shape. A
-    /// private session leases the only slot of its own one-slot fleet.
-    Lease(Lease),
-    Workers(Box<ShardWorkers>),
-}
-
-impl fmt::Debug for EngineCore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineCore::Lease(l) => write!(f, "Lease(slot {})", l.tenant.slot()),
-            EngineCore::Workers(w) => write!(f, "Workers({} shards)", w.shards()),
-        }
-    }
-}
-
-/// One session's tenancy on a fleet. Dropping it — session finished,
-/// torn down, or reaped while parked — releases the slot back to the
-/// fleet for the next `Hello`.
-struct Lease {
-    handle: FleetHandle,
-    tenant: TenantId,
-}
-
-impl Drop for Lease {
-    fn drop(&mut self) {
-        self.handle.release(self.tenant);
-    }
-}
-
 /// The deterministic per-session serving core: typed batches in,
-/// completion-ordered [`ReplayCompletion`]s out.
+/// completion-ordered [`ReplayCompletion`]s out, served as one tenant
+/// lease on a fleet. Dropping it — session finished, torn down, or
+/// reaped while parked — releases the slot back to the fleet for the
+/// next `Hello`.
 ///
 /// This is exactly the discipline the wire server runs, factored out so
 /// the client's `--verify` mode and the end-to-end tests can replay it
 /// in process and demand bit-identical results.
 #[derive(Debug)]
 pub struct ReplayEngine {
-    core: EngineCore,
+    fleet: FleetHandle,
+    tenant: TenantId,
     next_seq: u64,
-    max_outstanding: usize,
+}
+
+impl Drop for ReplayEngine {
+    fn drop(&mut self) {
+        self.fleet.release(self.tenant);
+    }
 }
 
 impl ReplayEngine {
@@ -338,12 +322,12 @@ impl ReplayEngine {
         ReplayEngine::with_options(params, fault, retry, health, false)
     }
 
-    /// The full constructor. By default the session leases the only
-    /// slot of a private one-slot fleet built from `params`, with
-    /// `max_outstanding` as its quota. `pipelined = true` serves it
-    /// through [`ShardWorkers`] instead — one thread per shard, fed by
-    /// SPSC rings, so decode, submission, engine stepping, and
-    /// completion encoding overlap — with a bit-identical completion
+    /// The full constructor: the session leases the only slot of a
+    /// private one-slot fleet built from `params`, with
+    /// `max_outstanding` as its quota. `pipelined = true` drives that
+    /// slot through [`ShardWorkers`](codic_core::worker::ShardWorkers)
+    /// — one thread per shard, so decode, submission, engine stepping,
+    /// and completion encoding overlap — with a bit-identical completion
     /// stream (the tests here and the worker determinism proptests pin
     /// it).
     #[must_use]
@@ -359,18 +343,12 @@ impl ReplayEngine {
             config = config.with_faults(plan);
         }
         let shards = (params.shards as usize).max(1);
-        if !pipelined {
-            let fleet = FleetHandle::new(FleetConfig::new(1, shards, config).with_health(health));
-            return ReplayEngine::for_fleet(params, &fleet)
-                .expect("a fresh one-slot fleet has its slot free");
-        }
-        let mut workers = ShardWorkers::launch(shards, &config);
-        workers.set_health_policy(health);
-        ReplayEngine {
-            core: EngineCore::Workers(Box::new(workers)),
-            next_seq: 0,
-            max_outstanding: (params.max_outstanding as usize).max(1),
-        }
+        let fleet = FleetHandle::new(
+            FleetConfig::new(1, shards, config)
+                .with_health(health)
+                .with_workers(pipelined),
+        );
+        ReplayEngine::for_fleet(params, &fleet).expect("a fresh one-slot fleet has its slot free")
     }
 
     /// An engine serving one tenant of a fleet: acquires a slot with the
@@ -378,59 +356,30 @@ impl ReplayEngine {
     /// when every slot is taken. The slot is released when the engine
     /// drops.
     #[must_use]
-    pub fn for_fleet(params: &SessionParams, handle: &FleetHandle) -> Option<Self> {
+    pub fn for_fleet(params: &SessionParams, fleet: &FleetHandle) -> Option<Self> {
         let quota = (params.max_outstanding as usize).max(1);
-        let tenant = handle.acquire_with(u32::from(params.qos_weight), quota)?;
+        let tenant = fleet.acquire_with(u32::from(params.qos_weight), quota)?;
         Some(ReplayEngine {
-            core: EngineCore::Lease(Lease {
-                handle: handle.clone(),
-                tenant,
-            }),
+            fleet: fleet.clone(),
+            tenant,
             next_seq: 0,
-            max_outstanding: quota,
         })
     }
 
     /// Submits one batch and returns the completions that drained at
-    /// this boundary, in completion order.
+    /// this boundary, in completion order. The lease runs the serving
+    /// discipline: routed all-or-nothing submission, step-wise quota
+    /// backpressure, a health check at the batch boundary, and a
+    /// `(finish_cycle, seq)` drain.
     ///
     /// # Errors
     ///
     /// Returns the policy error; the batch was all-or-nothing rejected
     /// and the engine state is untouched (no sequence numbers consumed).
     pub fn submit_batch(&mut self, ops: &[CodicOp]) -> Result<Vec<ReplayCompletion>, CodicError> {
-        match &mut self.core {
-            EngineCore::Lease(lease) => {
-                // The lease runs the serving discipline: routed async
-                // submission, step-wise quota backpressure, a health
-                // check at the batch boundary, `(finish_cycle, seq)`
-                // drain order.
-                let (receipt, served) = lease.handle.submit(lease.tenant, ops)?;
-                self.next_seq += u64::from(receipt.accepted);
-                Ok(served.into_iter().map(ReplayCompletion::from).collect())
-            }
-            EngineCore::Workers(workers) => {
-                // All-or-nothing pre-flight happens coordinator-side
-                // before anything reaches a ring, so a rejected batch
-                // consumes no sequence numbers, same as a lease.
-                workers.submit_batch(self.next_seq, ops)?;
-                self.next_seq += ops.len() as u64;
-                // First barrier: collect what resolved while this batch
-                // was being decoded and refresh the statuses the
-                // backpressure loop gates on. Drains never advance a
-                // device, so splitting the drain around the loop yields
-                // exactly a lease's single-drain set.
-                let mut drained = workers.drain_ready();
-                while workers.outstanding() > self.max_outstanding {
-                    if !workers.step_all() {
-                        break;
-                    }
-                }
-                workers.check_health();
-                drained.extend(workers.drain_ready());
-                Ok(into_completions(drained))
-            }
-        }
+        let (receipt, served) = self.fleet.submit(self.tenant, ops)?;
+        self.next_seq += u64::from(receipt.accepted);
+        Ok(served.into_iter().map(ReplayCompletion::from).collect())
     }
 
     /// Drives every shard to idle and returns everything still pending,
@@ -439,48 +388,28 @@ impl ReplayEngine {
     /// delivered as typed failures, so a flush always resolves every
     /// pending operation one way or the other.
     pub fn flush(&mut self) -> Vec<ReplayCompletion> {
-        match &mut self.core {
-            EngineCore::Lease(lease) => {
-                let (_, served) = lease.handle.flush(lease.tenant);
-                served.into_iter().map(ReplayCompletion::from).collect()
-            }
-            EngineCore::Workers(workers) => {
-                let mut drained = workers.flush();
-                workers.check_health();
-                drained.extend(workers.drain_ready());
-                into_completions(drained)
-            }
-        }
+        let (_, served) = self.fleet.flush(self.tenant);
+        served.into_iter().map(ReplayCompletion::from).collect()
     }
 
     /// Per-shard health of the serving shards.
     #[must_use]
     pub fn health(&self) -> Vec<ShardHealth> {
-        match &self.core {
-            EngineCore::Lease(lease) => lease.handle.health(lease.tenant),
-            EngineCore::Workers(workers) => workers.health().to_vec(),
-        }
+        self.fleet.health(self.tenant)
     }
 
     /// Operations submitted but not yet completed (the backpressure
     /// signal; bounded by the session's `max_outstanding` between
-    /// batches). In worker mode this is the count as of the last
-    /// barrier — exact at every point the serving loop reads it.
+    /// batches).
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        match &self.core {
-            EngineCore::Lease(lease) => lease.handle.outstanding(lease.tenant),
-            EngineCore::Workers(workers) => workers.outstanding(),
-        }
+        self.fleet.outstanding(self.tenant)
     }
 
     /// The slowest shard's current cycle.
     #[must_use]
     pub fn now_max(&self) -> u64 {
-        match &self.core {
-            EngineCore::Lease(lease) => lease.handle.now_max(lease.tenant),
-            EngineCore::Workers(workers) => workers.now_max(),
-        }
+        self.fleet.now_max(self.tenant)
     }
 
     /// Sequence number the next submitted operation will get.
@@ -498,15 +427,6 @@ impl From<ServedOp> for ReplayCompletion {
             completion: op.completion,
         }
     }
-}
-
-/// Sorts worker-drained completions into the order a lease emits:
-/// ascending finish cycle, ties broken by submission sequence — a total
-/// order (seq is unique), so the emitted stream is independent of which
-/// worker thread resolved what first.
-fn into_completions(mut drained: Vec<ServedOp>) -> Vec<ReplayCompletion> {
-    drained.sort_by_key(|d| (d.completion.finish_cycle, d.seq));
-    drained.into_iter().map(ReplayCompletion::from).collect()
 }
 
 /// Why a session ended.
@@ -1582,37 +1502,13 @@ impl ReplayServer {
     }
 
     /// Assembles the server, building the shared fleet when
-    /// [`ServerConfig::fleet_slots`] asks for one: `fleet_slots` leases
-    /// of the configured shard count, on the substrate the server's
-    /// defaults negotiate (fault plan and retry policy included), with
-    /// the server's outstanding cap as the default per-tenant quota.
+    /// [`ServerConfig::fleet_slots`] asks for one.
     fn build(
         listeners: Vec<Listener>,
         path: Option<PathBuf>,
         config: ServerConfig,
     ) -> io::Result<Self> {
-        let fleet = match config.fleet_slots {
-            0 => None,
-            slots => {
-                if config.workers {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "fleet mode serves sessions from one shared pool; \
-                         it cannot be combined with per-shard workers",
-                    ));
-                }
-                let params = config.negotiate(&SessionParams::defaults());
-                let mut device = ServerConfig::device_config(&params).with_retry(config.retry);
-                if let Some(plan) = config.fault {
-                    device = device.with_faults(plan);
-                }
-                Some(FleetHandle::new(
-                    FleetConfig::new(slots, (params.shards as usize).max(1), device)
-                        .with_quota(config.max_outstanding.max(1))
-                        .with_health(config.health),
-                ))
-            }
-        };
+        let fleet = (config.fleet_slots > 0).then(|| shared_fleet(&config, config.fleet_slots));
         Ok(ReplayServer {
             listeners,
             config,
@@ -1752,6 +1648,24 @@ impl ReplayServer {
     }
 }
 
+/// The fleet a server shares among its sessions: `slots` leases of the
+/// configured shard count, on the substrate the server's defaults
+/// negotiate (fault plan and retry policy included), with the server's
+/// outstanding cap as the default per-tenant quota and its slot driver.
+fn shared_fleet(config: &ServerConfig, slots: usize) -> FleetHandle {
+    let params = config.negotiate(&SessionParams::defaults());
+    let mut device = ServerConfig::device_config(&params).with_retry(config.retry);
+    if let Some(plan) = config.fault {
+        device = device.with_faults(plan);
+    }
+    FleetHandle::new(
+        FleetConfig::new(slots, params.shards as usize, device)
+            .with_quota(config.max_outstanding)
+            .with_health(config.health)
+            .with_workers(config.workers),
+    )
+}
+
 /// Joins and drops every handle whose thread has finished.
 fn reap_finished(handles: &mut Vec<thread::JoinHandle<()>>) {
     let mut i = 0;
@@ -1854,6 +1768,46 @@ mod tests {
         };
         let effective = server.negotiate(&SessionParams::defaults());
         assert_eq!(effective.compute_rows, 64);
+    }
+
+    #[test]
+    fn server_defaults_are_clamped_like_client_proposals() {
+        // A zero default once reached the engine unclamped: module_mib 0
+        // panicked building the geometry, and shards 0 acked 0 shards
+        // while the engine ran 1.
+        let zeroed = ServerConfig {
+            shards: 0,
+            module_mib: 0,
+            max_outstanding: 0,
+            ..ServerConfig::default()
+        };
+        let effective = zeroed.negotiate(&SessionParams::defaults());
+        assert_eq!(effective.shards, 1);
+        assert_eq!(effective.module_mib, 1);
+        assert_eq!(effective.max_outstanding, 1);
+        let mut engine = ReplayEngine::new(&effective);
+        assert_eq!(engine.health().len(), 1, "the ack is the engine's shape");
+        assert_eq!(
+            engine.submit_batch(&zero_ops(4)).unwrap().len() + engine.flush().len(),
+            4
+        );
+        let fleet = ServerConfig {
+            fleet_slots: 1,
+            ..zeroed
+        };
+        assert!(
+            ReplayServer::bind_tcp("127.0.0.1:0", fleet).is_ok(),
+            "bind builds the fleet"
+        );
+
+        let oversized = ServerConfig {
+            shards: 1000,
+            module_mib: 100,
+            ..ServerConfig::default()
+        };
+        let effective = oversized.negotiate(&SessionParams::defaults());
+        assert_eq!(effective.shards, 64);
+        assert_eq!(effective.module_mib, 128);
     }
 
     #[test]
@@ -2057,7 +2011,7 @@ mod tests {
     #[test]
     fn out_of_range_versions_are_rejected() {
         let config = ServerConfig::default();
-        let fleet = test_fleet(&config, 1);
+        let fleet = shared_fleet(&config, 1);
         for version in [0u16, 2, 3, 4, 6, u16::MAX] {
             let hello = SessionParams {
                 version,
@@ -2520,21 +2474,6 @@ mod tests {
         assert_eq!(registry.parked_sessions(), 0);
     }
 
-    /// A fleet built exactly the way [`ReplayServer::build`] builds one
-    /// from this config.
-    fn test_fleet(config: &ServerConfig, slots: usize) -> FleetHandle {
-        let params = config.negotiate(&SessionParams::defaults());
-        let mut device = ServerConfig::device_config(&params).with_retry(config.retry);
-        if let Some(plan) = config.fault {
-            device = device.with_faults(plan);
-        }
-        FleetHandle::new(
-            FleetConfig::new(slots, params.shards as usize, device)
-                .with_quota(config.max_outstanding)
-                .with_health(config.health),
-        )
-    }
-
     /// Serves one CRC-framed session (fleet or private) in memory and
     /// returns the reply frames.
     fn run_crc_session(
@@ -2559,8 +2498,17 @@ mod tests {
 
     #[test]
     fn fleet_sessions_match_private_pool_sessions_bit_for_bit() {
-        let config = ServerConfig::default();
-        let fleet = test_fleet(&config, 2);
+        for workers in [false, true] {
+            fleet_sessions_match_private_pool_sessions(workers);
+        }
+    }
+
+    fn fleet_sessions_match_private_pool_sessions(workers: bool) {
+        let config = ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        };
+        let fleet = shared_fleet(&config, 2);
         let ops = zero_ops(300);
         // The fleet client asks for its own substrate; the fleet ignores
         // the request (the pool's shape is fleet-wide).
@@ -2577,7 +2525,7 @@ mod tests {
         fleet_session.push(Frame::Bye);
         private_session.push(Frame::Bye);
 
-        let (end, private) = run_crc_session(&private_session, &config, None);
+        let (end, private) = run_crc_session(&private_session, &ServerConfig::default(), None);
         assert!(matches!(end, SessionEnd::Bye), "private: {end:?}");
 
         for round in 0..2 {
@@ -2595,6 +2543,7 @@ mod tests {
             .unwrap();
             assert!(matches!(end, SessionEnd::Bye), "round {round}: {end:?}");
             let served = crc_frames(&output);
+            let round = format!("workers {workers}, round {round}");
             match served[0] {
                 Frame::HelloAck { params: p, .. } => {
                     assert_eq!(p.tenants, 2, "the ack reports the fleet's slot count");
@@ -2622,7 +2571,7 @@ mod tests {
     #[test]
     fn oversized_v5_resource_claims_are_rejected_before_allocation() {
         let config = ServerConfig::default();
-        let fleet = test_fleet(&config, 1);
+        let fleet = shared_fleet(&config, 1);
         let claims = [
             SessionParams {
                 tenants: MAX_TENANT_CLAIM + 1,
@@ -2661,7 +2610,7 @@ mod tests {
     #[test]
     fn fleet_full_hellos_are_rejected_and_slots_recycle() {
         let config = ServerConfig::default();
-        let fleet = test_fleet(&config, 1);
+        let fleet = shared_fleet(&config, 1);
         let held = fleet.acquire_with(1, 1).expect("the only slot");
         let session = [
             Frame::Hello(SessionParams::defaults()),
@@ -2683,20 +2632,10 @@ mod tests {
         assert_eq!(event_units(&served).len(), 8);
     }
 
-    #[test]
-    fn fleet_mode_refuses_worker_serving() {
-        let config = ServerConfig {
-            fleet_slots: 2,
-            workers: true,
-            ..ServerConfig::default()
-        };
-        let err = ReplayServer::bind_tcp("127.0.0.1:0", config).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-    }
-
-    #[test]
-    fn tcp_listeners_serve_the_same_protocol_as_unix_sockets() {
-        let server = ReplayServer::bind_tcp("127.0.0.1:0", ServerConfig::default()).unwrap();
+    /// Serves `plain_session` over TCP from a server bound with
+    /// `config` and checks it against the in-memory private-pool stream.
+    fn serve_plain_session_over_tcp(config: ServerConfig) {
+        let server = ReplayServer::bind_tcp("127.0.0.1:0", config).unwrap();
         assert!(server.path().is_none(), "TCP-only servers have no path");
         let addr = server.tcp_addr().expect("a bound TCP address");
         let serving = thread::spawn(move || server.serve_connections(1).unwrap());
@@ -2719,6 +2658,20 @@ mod tests {
         assert!(matches!(end, SessionEnd::Bye), "reference: {end:?}");
         assert_eq!(event_units(&frames), event_units(&reference));
         assert_eq!(summary_of(&frames), summary_of(&reference));
+    }
+
+    #[test]
+    fn tcp_listeners_serve_the_same_protocol_as_unix_sockets() {
+        serve_plain_session_over_tcp(ServerConfig::default());
+    }
+
+    #[test]
+    fn shared_fleets_serve_through_worker_threads() {
+        serve_plain_session_over_tcp(ServerConfig {
+            fleet_slots: 2,
+            workers: true,
+            ..ServerConfig::default()
+        });
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   `Summary` — server-side checksum included — **bit-identical** to
 //!   an uninterrupted run, and a client-visible stream that verifies
 //!   against the in-process reference engine.
-//! - The same holds with `--workers` pipelined serving and with
+//! - The same holds on a shared fleet whose slots are driven by
+//!   `--workers` shard threads, and with
 //!   device-level fault injection armed at the same time: the three
 //!   fault domains (device, session, transport) compose without
 //!   touching the DRAM timeline.
@@ -131,8 +132,11 @@ fn cut_sessions_resume_to_the_uninterrupted_checksum() {
 #[test]
 fn cut_sessions_resume_bit_identically_under_pipelined_workers() {
     let ops = generate_mixed(12_000, 8192, 99);
+    // Two slots: the clean run's resume tombstone holds one until the
+    // reaper frees it.
     let piped = ServerConfig {
         workers: true,
+        fleet_slots: 2,
         ..ServerConfig::default()
     };
     with_live_server("cutworkers", piped, |socket, _| {
